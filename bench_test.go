@@ -12,10 +12,10 @@ package privacymaxent
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net/http/httptest"
 	"os"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -28,28 +28,13 @@ import (
 	"privacymaxent/internal/server"
 )
 
-// kernelWorkersEnv reads PMAXENT_KERNEL_WORKERS, the knob scripts/benchab
-// uses to A/B serial kernels (-1) against sharded ones on the same tree.
-// Unset or unparsable means 0: inherit the solve's worker count.
-var kernelWorkersEnv = func() int {
-	v, err := strconv.Atoi(os.Getenv("PMAXENT_KERNEL_WORKERS"))
-	if err != nil {
-		return 0
-	}
-	return v
-}()
-
 // reduceEnv reads PMAXENT_REDUCE: "1" turns on the structural presolve
 // (maxent.Options.Reduce) so scripts/benchab can A/B the block-structure
 // elimination against the full dual on the same tree.
 var reduceEnv = os.Getenv("PMAXENT_REDUCE") == "1"
 
-// fastMathEnv reads PMAXENT_FAST_MATH: "1" switches the dual kernels to
-// the reassociated multi-accumulator flavours (maxent.Options.FastMath).
-var fastMathEnv = os.Getenv("PMAXENT_FAST_MATH") == "1"
-
 // deltaEnv reads PMAXENT_DELTA: "1" routes BenchmarkDeltaResolve through
-// maxent.SolveDelta against the pre-solved baseline, so scripts/benchab
+// maxent.SolveDeltaContext against the pre-solved baseline, so scripts/benchab
 // can A/B a 1-rule incremental re-solve against the cold solve of the
 // same system.
 var deltaEnv = os.Getenv("PMAXENT_DELTA") == "1"
@@ -57,8 +42,7 @@ var deltaEnv = os.Getenv("PMAXENT_DELTA") == "1"
 // benchConfig is the scaled-down workload shared by the figure benches:
 // 2000 records → 400 buckets of five at 5-diversity (paper: 14,210 →
 // 2,842).
-var benchConfig = experiments.Config{Records: 2000, Seed: 1, MaxRuleSize: 2,
-	KernelWorkers: kernelWorkersEnv, Reduce: reduceEnv, FastMath: fastMathEnv}
+var benchConfig = experiments.Config{Records: 2000, Seed: 1, MaxRuleSize: 2, Reduce: reduceEnv}
 
 // benchInstance caches the generated workload across benchmarks; data
 // generation and rule mining are benchmarked separately.
@@ -198,7 +182,7 @@ func BenchmarkSolveNoKnowledge(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sys := constraint.DataInvariants(sp, constraint.InvariantOptions{DropRedundant: true})
-		if _, err := maxent.Solve(sys, maxent.Options{KernelWorkers: kernelWorkersEnv, Reduce: reduceEnv, FastMath: fastMathEnv}); err != nil {
+		if _, err := maxent.SolveContext(context.Background(), sys, maxent.Options{Reduce: reduceEnv}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -223,7 +207,7 @@ func BenchmarkSolveWithKnowledge(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		if _, err := maxent.Solve(sys, maxent.Options{Decompose: true, KernelWorkers: kernelWorkersEnv, Reduce: reduceEnv, FastMath: fastMathEnv}); err != nil {
+		if _, err := maxent.SolveContext(context.Background(), sys, maxent.Options{Decompose: true, Reduce: reduceEnv}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -271,7 +255,7 @@ func BenchmarkReducedSolve(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				sol, err := maxent.Solve(sys, maxent.Options{KernelWorkers: kernelWorkersEnv, Reduce: reduceEnv, FastMath: fastMathEnv})
+				sol, err := maxent.SolveContext(context.Background(), sys, maxent.Options{Reduce: reduceEnv})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -302,14 +286,14 @@ func BenchmarkSolveWarmStarted(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	seed, err := maxent.Solve(base, maxent.Options{Decompose: true})
+	seed, err := maxent.SolveContext(context.Background(), base, maxent.Options{Decompose: true})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sys := base.Clone()
-		if _, err := maxent.Solve(sys, maxent.Options{Decompose: true, WarmStart: seed.Duals, KernelWorkers: kernelWorkersEnv, Reduce: reduceEnv, FastMath: fastMathEnv}); err != nil {
+		if _, err := maxent.SolveContext(context.Background(), sys, maxent.Options{Decompose: true, WarmStart: seed.Duals, Reduce: reduceEnv}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -319,7 +303,7 @@ func BenchmarkSolveWarmStarted(b *testing.B) {
 // base plus Top-(25,25) knowledge minus its top rule is solved once
 // outside the timer (the state a serving cache would hold), then each
 // iteration assembles the full system and re-solves it. With
-// PMAXENT_DELTA=1 the re-solve goes through maxent.SolveDelta — clean
+// PMAXENT_DELTA=1 the re-solve goes through maxent.SolveDeltaContext — clean
 // components reuse the baseline posterior verbatim, only the component
 // the added rule touches is re-solved — and without it the whole system
 // solves cold, so the A/B isolates exactly what an incremental
@@ -343,11 +327,11 @@ func BenchmarkDeltaResolve(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	opts := maxent.Options{Decompose: true, KernelWorkers: kernelWorkersEnv, Reduce: reduceEnv, FastMath: fastMathEnv}
+	opts := maxent.Options{Decompose: true, Reduce: reduceEnv}
 	// The baseline needs ~600 LBFGS iterations; the default cap would
 	// leave it unconverged and unusable as a delta ancestor.
 	opts.Solver.MaxIterations = 5000
-	baseline, err := maxent.Solve(base, opts)
+	baseline, err := maxent.SolveContext(context.Background(), base, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -366,7 +350,7 @@ func BenchmarkDeltaResolve(b *testing.B) {
 			b.Fatal(err)
 		}
 		if deltaEnv {
-			sol, err := maxent.SolveDelta(sys, &maxent.Baseline{Sys: base, Sol: baseline}, opts)
+			sol, err := maxent.SolveDeltaContext(context.Background(), sys, &maxent.Baseline{Sys: base, Sol: baseline}, opts)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -374,7 +358,7 @@ func BenchmarkDeltaResolve(b *testing.B) {
 				b.Fatal("delta solve reused no components — it fell back to a cold solve")
 			}
 		} else {
-			if _, err := maxent.Solve(sys, opts); err != nil {
+			if _, err := maxent.SolveContext(context.Background(), sys, opts); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -386,7 +370,7 @@ func BenchmarkPosterior(b *testing.B) {
 	in := getInstance(b)
 	sp := constraint.NewSpace(in.Data)
 	sys := constraint.DataInvariants(sp, constraint.InvariantOptions{DropRedundant: true})
-	sol, err := maxent.Solve(sys, maxent.Options{})
+	sol, err := maxent.SolveContext(context.Background(), sys, maxent.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -401,7 +385,7 @@ func BenchmarkEstimationAccuracy(b *testing.B) {
 	in := getInstance(b)
 	sp := constraint.NewSpace(in.Data)
 	sys := constraint.DataInvariants(sp, constraint.InvariantOptions{DropRedundant: true})
-	sol, err := maxent.Solve(sys, maxent.Options{})
+	sol, err := maxent.SolveContext(context.Background(), sys, maxent.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -445,7 +429,7 @@ func BenchmarkSolveParallelComponents(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		if _, err := maxent.Solve(sys, maxent.Options{Decompose: true, Workers: 8, KernelWorkers: kernelWorkersEnv, Reduce: reduceEnv, FastMath: fastMathEnv}); err != nil {
+		if _, err := maxent.SolveContext(context.Background(), sys, maxent.Options{Decompose: true, Workers: 8, Reduce: reduceEnv}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -483,7 +467,7 @@ func BenchmarkInequalitySolve(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sys := constraint.DataInvariants(sp, constraint.InvariantOptions{DropRedundant: true})
-		if _, err := maxent.SolveWithInequalities(sys, ineqs, maxent.Options{}); err != nil {
+		if _, err := maxent.SolveWithInequalitiesContext(context.Background(), sys, ineqs, maxent.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -515,7 +499,7 @@ func BenchmarkServerQuantify(b *testing.B) {
 	body := fmt.Sprintf(`{"published": %s, "knowledge": %s}`, pub.String(), kjson.String())
 
 	cold := os.Getenv("PMAXENT_SERVER_COLD") == "1"
-	cfg := server.Config{Pipeline: core.Config{Solve: maxent.Options{KernelWorkers: kernelWorkersEnv, Reduce: reduceEnv, FastMath: fastMathEnv}}}
+	cfg := server.Config{Pipeline: core.Config{Solve: maxent.Options{Reduce: reduceEnv}}}
 	srv := server.New(cfg)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

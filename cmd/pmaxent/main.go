@@ -61,9 +61,7 @@ type options struct {
 	minSupport      int
 	sizes           string
 	algorithm       string
-	kernelWorkers   int
 	reduce          bool
-	fastMath        bool
 	top             int
 	demo            bool
 	trace           bool
@@ -92,9 +90,7 @@ func main() {
 	flag.IntVar(&o.minSupport, "minsupport", 3, "minimum association-rule support (records)")
 	flag.StringVar(&o.sizes, "sizes", "", "comma-separated QI-subset sizes to mine (default: all)")
 	flag.StringVar(&o.algorithm, "algorithm", "lbfgs", "dual solver: lbfgs, gis, iis, steepest, newton")
-	flag.IntVar(&o.kernelWorkers, "kernel-workers", 0, "worker shards for the in-solve gradient/exp kernels (0 = inherit the solve's worker count, <0 = serial); the posterior is bit-identical at any value")
 	flag.BoolVar(&o.reduce, "reduce", false, "structural presolve: closed-form untouched buckets and Schur-eliminate bucket-local invariant rows before the numeric solve")
-	flag.BoolVar(&o.fastMath, "fast-math", false, "reassociated multi-accumulator solve kernels (faster, not bit-identical to the exact kernels)")
 	flag.IntVar(&o.top, "top", 10, "number of riskiest QI tuples to print")
 	flag.BoolVar(&o.demo, "demo", false, "run on the paper's built-in example instead of a file")
 	flag.BoolVar(&o.trace, "trace", false, "emit a JSON-lines span trace and metrics snapshot to stderr")
@@ -114,7 +110,7 @@ func main() {
 }
 
 func run(w io.Writer, o options) error {
-	alg, err := parseAlgorithm(o.algorithm)
+	alg, err := maxent.ParseAlgorithm(o.algorithm)
 	if err != nil {
 		return err
 	}
@@ -256,7 +252,7 @@ func runOriginal(ctx context.Context, w io.Writer, o options, alg maxent.Algorit
 		Diversity:  o.diversity,
 		MinSupport: o.minSupport,
 		RuleSizes:  ruleSizes,
-		Solve:      maxent.Options{Algorithm: alg, KernelWorkers: o.kernelWorkers, Reduce: o.reduce, FastMath: o.fastMath},
+		Solve:      maxent.Options{Algorithm: alg, Reduce: o.reduce},
 		Audit:      auditConfig(o),
 	})
 
@@ -323,7 +319,7 @@ func runPublished(ctx context.Context, w io.Writer, o options, alg maxent.Algori
 			return err
 		}
 	}
-	q := core.New(core.Config{Solve: maxent.Options{Algorithm: alg, KernelWorkers: o.kernelWorkers, Reduce: o.reduce, FastMath: o.fastMath}, Audit: auditConfig(o)})
+	q := core.New(core.Config{Solve: maxent.Options{Algorithm: alg, Reduce: o.reduce}, Audit: auditConfig(o)})
 	var rep *core.Report
 	if o.eps > 0 {
 		rep, err = q.QuantifyVagueContext(ctx, pub, knowledge, o.eps, nil)
@@ -402,23 +398,6 @@ func writeFile(path string, write func(io.Writer) error) error {
 		return err
 	}
 	return f.Close()
-}
-
-func parseAlgorithm(s string) (maxent.Algorithm, error) {
-	switch strings.ToLower(s) {
-	case "lbfgs", "":
-		return maxent.LBFGS, nil
-	case "gis":
-		return maxent.GIS, nil
-	case "iis":
-		return maxent.IIS, nil
-	case "steepest":
-		return maxent.SteepestDescent, nil
-	case "newton":
-		return maxent.Newton, nil
-	default:
-		return 0, fmt.Errorf("unknown algorithm %q (want lbfgs, gis, iis, steepest or newton)", s)
-	}
 }
 
 func parseSizes(s string) ([]int, error) {

@@ -11,24 +11,7 @@ import (
 
 	"privacymaxent/internal/audit"
 	"privacymaxent/internal/dataset"
-	"privacymaxent/internal/maxent"
 )
-
-func TestParseAlgorithm(t *testing.T) {
-	cases := map[string]maxent.Algorithm{
-		"lbfgs": maxent.LBFGS, "": maxent.LBFGS, "GIS": maxent.GIS,
-		"iis": maxent.IIS, "steepest": maxent.SteepestDescent, "Newton": maxent.Newton,
-	}
-	for in, want := range cases {
-		got, err := parseAlgorithm(in)
-		if err != nil || got != want {
-			t.Errorf("parseAlgorithm(%q) = %v, %v; want %v", in, got, err, want)
-		}
-	}
-	if _, err := parseAlgorithm("simplex"); err == nil {
-		t.Fatal("expected error for unknown algorithm")
-	}
-}
 
 func TestParseSizes(t *testing.T) {
 	got, err := parseSizes("1, 2,3")

@@ -2,7 +2,7 @@
 //
 //	pmaxentd [-addr :8080] [-cache 16] [-max-inflight N] [-queue N]
 //	         [-timeout 60s] [-retry-after 1s] [-drain-timeout 30s]
-//	         [-algorithm lbfgs] [-kernel-workers N] [-reduce] [-fast-math]
+//	         [-algorithm lbfgs] [-reduce]
 //	         [-delta]
 //	         [-history-dir DIR] [-history-retention 65536] [-history-fsync 1s]
 //	         [-done-ring 32] [-sse-keepalive 15s]
@@ -65,7 +65,6 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -77,26 +76,24 @@ import (
 )
 
 type options struct {
-	addr          string
-	cacheSize     int
-	maxInFlight   int
-	queue         int
-	timeout       time.Duration
-	retryAfter    time.Duration
-	drainTimeout  time.Duration
-	algorithm     string
-	kernelWorkers int
-	reduce        bool
-	fastMath      bool
-	delta         bool
-	historyDir    string
-	historyKeep   int
-	historyFsync  string
-	doneRing      int
-	sseKeepAlive  time.Duration
-	traceOut      string
-	solveLog      string
-	pprofAddr     string
+	addr         string
+	cacheSize    int
+	maxInFlight  int
+	queue        int
+	timeout      time.Duration
+	retryAfter   time.Duration
+	drainTimeout time.Duration
+	algorithm    string
+	reduce       bool
+	delta        bool
+	historyDir   string
+	historyKeep  int
+	historyFsync string
+	doneRing     int
+	sseKeepAlive time.Duration
+	traceOut     string
+	solveLog     string
+	pprofAddr    string
 }
 
 func main() {
@@ -109,9 +106,7 @@ func main() {
 	flag.DurationVar(&o.retryAfter, "retry-after", time.Second, "Retry-After hint on 429/503 responses")
 	flag.DurationVar(&o.drainTimeout, "drain-timeout", 30*time.Second, "how long SIGTERM waits for in-flight solves before force-canceling")
 	flag.StringVar(&o.algorithm, "algorithm", "lbfgs", "dual solver: lbfgs, gis, iis, steepest, newton")
-	flag.IntVar(&o.kernelWorkers, "kernel-workers", 0, "worker shards for the in-solve kernels (0 = inherit, <0 = serial)")
 	flag.BoolVar(&o.reduce, "reduce", false, "structural presolve: closed-form untouched buckets and Schur-eliminate bucket-local invariant rows before the numeric solve")
-	flag.BoolVar(&o.fastMath, "fast-math", false, "reassociated multi-accumulator solve kernels (faster, not bit-identical to the exact kernels)")
 	flag.BoolVar(&o.delta, "delta", false, "chain delta baselines per publication: \"delta\": true requests re-solve only constraint components changed since the last converged solve")
 	flag.StringVar(&o.historyDir, "history-dir", "", "durable solve-history journal directory (empty disables /v1/history)")
 	flag.IntVar(&o.historyKeep, "history-retention", 65536, "minimum journal records kept on disk before old segments are deleted")
@@ -135,7 +130,7 @@ func main() {
 // is non-nil the bound address is sent on it once the listener is up —
 // the test seam that lets -addr :0 be dialed.
 func run(ctx context.Context, o options, ready chan<- string) error {
-	alg, err := parseAlgorithm(o.algorithm)
+	alg, err := maxent.ParseAlgorithm(o.algorithm)
 	if err != nil {
 		return err
 	}
@@ -143,7 +138,7 @@ func run(ctx context.Context, o options, ready chan<- string) error {
 	log := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	cfg := server.Config{
 		Pipeline: core.Config{
-			Solve: maxent.Options{Algorithm: alg, KernelWorkers: o.kernelWorkers, Reduce: o.reduce, FastMath: o.fastMath},
+			Solve: maxent.Options{Algorithm: alg, Reduce: o.reduce},
 		},
 		CacheSize:    o.cacheSize,
 		DeltaChain:   o.delta,
@@ -255,21 +250,4 @@ func run(ctx context.Context, o options, ready chan<- string) error {
 	}
 	log.Info("pmaxentd: stopped")
 	return nil
-}
-
-func parseAlgorithm(s string) (maxent.Algorithm, error) {
-	switch strings.ToLower(s) {
-	case "lbfgs", "":
-		return maxent.LBFGS, nil
-	case "gis":
-		return maxent.GIS, nil
-	case "iis":
-		return maxent.IIS, nil
-	case "steepest":
-		return maxent.SteepestDescent, nil
-	case "newton":
-		return maxent.Newton, nil
-	default:
-		return 0, fmt.Errorf("unknown algorithm %q (want lbfgs, gis, iis, steepest or newton)", s)
-	}
 }

@@ -193,8 +193,15 @@ func TestHistorySurvivesRestart(t *testing.T) {
 	}
 }
 
+// TestParseAlgorithmRejectsUnknown: an unknown -algorithm stops the
+// daemon before it binds its listener.
 func TestParseAlgorithmRejectsUnknown(t *testing.T) {
-	if _, err := parseAlgorithm("simplex"); err == nil {
-		t.Fatal("unknown algorithm accepted")
+	ready := make(chan string, 1)
+	err := run(context.Background(), options{addr: "127.0.0.1:0", algorithm: "simplex"}, ready)
+	if err == nil || !strings.Contains(err.Error(), `unknown algorithm "simplex"`) {
+		t.Fatalf("run = %v, want unknown-algorithm error", err)
+	}
+	if len(ready) != 0 {
+		t.Fatal("daemon listened despite the bad algorithm")
 	}
 }

@@ -169,7 +169,7 @@ type SolveAudit struct {
 }
 
 // New builds the audit of sol against the system it solved. The system
-// must be the same one handed to maxent.Solve — residuals are evaluated
+// must be the same one handed to maxent.SolveContext — residuals are evaluated
 // over the original (pre-presolve, pre-decomposition) rows, so every
 // label a user wrote appears under its own name.
 func New(sys *constraint.System, sol *maxent.Solution, opts Options) *SolveAudit {

@@ -1,6 +1,7 @@
 package audit
 
 import (
+	"context"
 	"math"
 	"path/filepath"
 	"strings"
@@ -34,7 +35,7 @@ func paperSolve(t *testing.T, opts maxent.Options) (*constraint.System, *maxent.
 	if err := constraint.AddKnowledge(sys, k); err != nil {
 		t.Fatal(err)
 	}
-	sol, err := maxent.Solve(sys, opts)
+	sol, err := maxent.SolveContext(context.Background(), sys, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

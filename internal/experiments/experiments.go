@@ -59,19 +59,9 @@ type Config struct {
 	// negative (or 1) runs sequentially. The timing figures' solves
 	// themselves are never run concurrently — wall-clock is their y-axis.
 	Workers int
-	// KernelWorkers is passed through to maxent.Options.KernelWorkers: it
-	// shards the dual gradient/exp kernels inside each solve. Zero inherits
-	// the solve's resolved worker count, negative forces serial kernels.
-	// Kernel sharding is bit-deterministic, so it never changes a figure —
-	// but it does change the wall-clock the timing figures measure, which
-	// is exactly why it is exposed here (serial-vs-parallel A/B runs).
-	KernelWorkers int
 	// Reduce is passed through to maxent.Options.Reduce: the structural
 	// presolve (closed-form untouched buckets + Schur-reduced dual).
 	Reduce bool
-	// FastMath is passed through to maxent.Options.FastMath: reassociated
-	// multi-accumulator dual kernels.
-	FastMath bool
 	// AuditDir, when non-empty, writes one solve-audit JSON per grid
 	// point of the performance figures (7a/7bc) and per algorithm of the
 	// solver ablation into this directory, named after the point
@@ -175,10 +165,8 @@ func (in *Instance) quantifier() *core.Quantifier {
 		Diversity:  in.Config.Diversity,
 		MinSupport: in.Config.MinSupport,
 		Solve: maxent.Options{
-			KernelWorkers: in.Config.KernelWorkers,
-			Reduce:        in.Config.Reduce,
-			FastMath:      in.Config.FastMath,
-			Solver:        solver.Options{MaxIterations: in.Config.MaxIterations, GradTol: 1e-8},
+			Reduce: in.Config.Reduce,
+			Solver: solver.Options{MaxIterations: in.Config.MaxIterations, GradTol: 1e-8},
 		},
 	})
 }
@@ -407,13 +395,11 @@ func (in *Instance) solveWithTopK(k int, auditName string) (maxent.Stats, error)
 		}
 	}
 	opts := maxent.Options{
-		KernelWorkers: in.Config.KernelWorkers,
-		Reduce:        in.Config.Reduce,
-		FastMath:      in.Config.FastMath,
-		Solver:        solver.Options{MaxIterations: 3000, GradTol: 1e-6},
+		Reduce: in.Config.Reduce,
+		Solver: solver.Options{MaxIterations: 3000, GradTol: 1e-6},
 	}
 	opts.CaptureTrace = in.Config.AuditDir != ""
-	sol, err := maxent.Solve(sys, opts)
+	sol, err := maxent.SolveContext(context.Background(), sys, opts)
 	if err != nil {
 		return maxent.Stats{}, err
 	}
@@ -563,14 +549,12 @@ func CompareAlgorithms(in *Instance, k int, algs []maxent.Algorithm) ([]Algorith
 	for _, alg := range algs {
 		// Decompose so Newton's dense Hessian only sees the relevant
 		// buckets' constraints.
-		sol, err := maxent.Solve(sys, maxent.Options{
-			Algorithm:     alg,
-			Decompose:     true,
-			CaptureTrace:  in.Config.AuditDir != "",
-			KernelWorkers: in.Config.KernelWorkers,
-			Reduce:        in.Config.Reduce,
-			FastMath:      in.Config.FastMath,
-			Solver:        solver.Options{MaxIterations: 3000, GradTol: 1e-7},
+		sol, err := maxent.SolveContext(context.Background(), sys, maxent.Options{
+			Algorithm:    alg,
+			Decompose:    true,
+			CaptureTrace: in.Config.AuditDir != "",
+			Reduce:       in.Config.Reduce,
+			Solver:       solver.Options{MaxIterations: 3000, GradTol: 1e-7},
 		})
 		if err != nil {
 			return nil, fmt.Errorf("algorithm %v: %w", alg, err)
@@ -611,10 +595,8 @@ func CompareDecomposition(in *Instance, k int) ([]DecompositionResult, error) {
 			MinSupport:  in.Config.MinSupport,
 			NoDecompose: !dec,
 			Solve: maxent.Options{
-				KernelWorkers: in.Config.KernelWorkers,
-				Reduce:        in.Config.Reduce,
-				FastMath:      in.Config.FastMath,
-				Solver:        solver.Options{MaxIterations: 6000, GradTol: 1e-8},
+				Reduce: in.Config.Reduce,
+				Solver: solver.Options{MaxIterations: 6000, GradTol: 1e-8},
 			},
 		})
 		rep, err := q.QuantifyWithRules(in.Data, in.Rules, core.Bound{KPos: k / 2, KNeg: k - k/2}, in.Truth)

@@ -4,6 +4,7 @@
 package generalize_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -42,7 +43,7 @@ func TestPublishFeedsMaxEnt(t *testing.T) {
 	}
 	sp := constraint.NewSpace(d)
 	sys := constraint.DataInvariants(sp, constraint.InvariantOptions{DropRedundant: true})
-	sol, err := maxent.Solve(sys, maxent.Options{})
+	sol, err := maxent.SolveContext(context.Background(), sys, maxent.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,6 +25,7 @@
 package individuals
 
 import (
+	"context"
 	"fmt"
 
 	"privacymaxent/internal/bucket"
@@ -281,7 +282,7 @@ func Solve(sp *Space, knowledge []Knowledge, opts maxent.Options) (*Solution, er
 		}
 		cons = append(cons, c)
 	}
-	x, stats, err := maxent.SolveConstraints(sp.Len(), cons, sp.UniformInit(), opts)
+	x, stats, err := maxent.SolveConstraintsContext(context.Background(), sp.Len(), cons, sp.UniformInit(), opts)
 	if err != nil {
 		return nil, err
 	}

@@ -2,23 +2,15 @@ package linalg
 
 import "math"
 
-// This file holds the unrolled variants of the solver's two hot kernels:
-// the fused Aᵀλ → exp column pass and the A·x row pass. Each kernel comes
-// in an exact flavour and a -fast-math flavour.
-//
-// The exact flavour unrolls the dot-product loop four entries per trip
-// but keeps a single accumulator updated in ascending entry order, so the
-// floating-point additions happen in exactly the order of the naive loop
-// — the result is bit-identical, the win comes purely from amortized loop
-// overhead and from hoisting the entry slices once per column/row (the
-// three-index re-slice pins the value and index slices to equal length,
-// which lets the compiler drop the per-entry bounds checks).
-//
-// The fast flavour accumulates into four independent partial sums folded
-// pairwise at the end. That reassociation breaks bit-parity with the
-// serial order — results differ at rounding level — so it is reachable
-// only through maxent.Options.FastMath, and its output is gated by the
-// accsnap tolerance cross-check instead of the bit-parity property tests.
+// This file holds the unrolled fused Aᵀλ → exp column pass, one of the
+// solver's two hot kernels (the A·x row pass is MulVecRange). It unrolls
+// the dot-product loop four entries per trip but keeps a single
+// accumulator updated in ascending entry order, so the floating-point
+// additions happen in exactly the order of the naive loop — the result is
+// bit-identical, the win comes purely from amortized loop overhead and
+// from hoisting the entry slices once per column (the three-index
+// re-slice pins the value and index slices to equal length, which lets
+// the compiler drop the per-entry bounds checks).
 
 // ExpDots computes dst[c] = exp((Aᵀx)_c − 1) for every column c in
 // [lo, hi) and returns the sum of those entries in ascending column
@@ -48,56 +40,4 @@ func (v ColView) ExpDots(x, dst []float64, lo, hi int) float64 {
 		sum += e
 	}
 	return sum
-}
-
-// ExpDotsFast is ExpDots with four independent dot-product accumulators
-// folded pairwise — faster on long columns, not bit-identical to the
-// in-order sum. Opt-in via maxent.Options.FastMath.
-func (v ColView) ExpDotsFast(x, dst []float64, lo, hi int) float64 {
-	colPtr := v.t.colPtr
-	var sum float64
-	for c := lo; c < hi; c++ {
-		p, q := colPtr[c], colPtr[c+1]
-		vals := v.t.vals[p:q]
-		rows := v.t.rowIdx[p:q:q]
-		var s0, s1, s2, s3 float64
-		k := 0
-		for ; k+4 <= len(vals); k += 4 {
-			s0 += vals[k] * x[rows[k]]
-			s1 += vals[k+1] * x[rows[k+1]]
-			s2 += vals[k+2] * x[rows[k+2]]
-			s3 += vals[k+3] * x[rows[k+3]]
-		}
-		for ; k < len(vals); k++ {
-			s0 += vals[k] * x[rows[k]]
-		}
-		e := math.Exp((s0 + s1) + (s2 + s3) - 1)
-		dst[c] = e
-		sum += e
-	}
-	return sum
-}
-
-// MulVecRangeFast computes y[r] = (A x)_r for rows lo ≤ r < hi like
-// MulVecRange, with four-wide independent accumulators per row. Not
-// bit-identical to the in-order kernel; opt-in via
-// maxent.Options.FastMath.
-func (m *CSR) MulVecRangeFast(x, y []float64, lo, hi int) {
-	for r := lo; r < hi; r++ {
-		p, q := m.rowPtr[r], m.rowPtr[r+1]
-		vals := m.vals[p:q]
-		cols := m.colIdx[p:q:q]
-		var s0, s1, s2, s3 float64
-		k := 0
-		for ; k+4 <= len(vals); k += 4 {
-			s0 += vals[k] * x[cols[k]]
-			s1 += vals[k+1] * x[cols[k+1]]
-			s2 += vals[k+2] * x[cols[k+2]]
-			s3 += vals[k+3] * x[cols[k+3]]
-		}
-		for ; k < len(vals); k++ {
-			s0 += vals[k] * x[cols[k]]
-		}
-		y[r] = (s0 + s1) + (s2 + s3)
-	}
 }

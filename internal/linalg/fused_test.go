@@ -11,8 +11,8 @@ import (
 // every unroll remainder (0–3 tail entries).
 
 // TestExpDotsBitIdentical: the unrolled fused kernel must reproduce the
-// naive per-column Dot → exp loop bit for bit — it is unconditionally on
-// in the solver's exact path.
+// naive per-column Dot → exp loop bit for bit — it is the solver's only
+// column kernel.
 func TestExpDotsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 30; trial++ {
@@ -50,53 +50,5 @@ func TestExpDotsBitIdentical(t *testing.T) {
 			}
 		}
 		_ = s
-	}
-}
-
-// TestExpDotsFastTolerance: the multi-accumulator flavour may reassociate
-// the sum but must stay within a few ulps of the exact kernel.
-func TestExpDotsFastTolerance(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 30; trial++ {
-		rows, cols := 1+rng.Intn(40), 1+rng.Intn(60)
-		m := randomCSR(rng, rows, cols)
-		v := m.Columns()
-		x := make([]float64, rows)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		exact := make([]float64, cols)
-		v.ExpDots(x, exact, 0, cols)
-		fast := make([]float64, cols)
-		v.ExpDotsFast(x, fast, 0, cols)
-		for c := range exact {
-			diff := math.Abs(fast[c] - exact[c])
-			if diff > 1e-12*(1+math.Abs(exact[c])) {
-				t.Fatalf("trial %d col %d: fast %v vs exact %v", trial, c, fast[c], exact[c])
-			}
-		}
-	}
-}
-
-// TestMulVecRangeFastTolerance: same contract for the fast row kernel.
-func TestMulVecRangeFastTolerance(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 30; trial++ {
-		rows, cols := 1+rng.Intn(40), 1+rng.Intn(60)
-		m := randomCSR(rng, rows, cols)
-		x := make([]float64, cols)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		exact := make([]float64, rows)
-		m.MulVecRange(x, exact, 0, rows)
-		fast := make([]float64, rows)
-		m.MulVecRangeFast(x, fast, 0, rows)
-		for r := range exact {
-			diff := math.Abs(fast[r] - exact[r])
-			if diff > 1e-12*(1+math.Abs(exact[r])) {
-				t.Fatalf("trial %d row %d: fast %v vs exact %v", trial, r, fast[r], exact[r])
-			}
-		}
 	}
 }

@@ -2,14 +2,13 @@ package maxent
 
 import (
 	"context"
-	"time"
 
 	"privacymaxent/internal/constraint"
 	"privacymaxent/internal/telemetry"
 )
 
 // Baseline is the reusable outcome of a previous solve: the system it
-// solved and its converged solution. SolveDelta diffs a new system
+// solved and its converged solution. SolveDeltaContext diffs a new system
 // against it and re-solves only what changed.
 type Baseline struct {
 	Sys *constraint.System
@@ -27,179 +26,74 @@ func (b *Baseline) usable(sys *constraint.System) bool {
 		len(b.Sol.X) == sys.Space().Len()
 }
 
-// SolveDelta is SolveDeltaContext with a background context.
-func SolveDelta(sys *constraint.System, base *Baseline, opts Options) (*Solution, error) {
-	return SolveDeltaContext(context.Background(), sys, base, opts)
-}
-
 // SolveDeltaContext solves sys incrementally against a baseline: the
 // constraint differ (constraint.DiffSystems) classifies every connected
-// component, clean components copy the baseline's converged posterior
-// slice and duals verbatim (zero iterations, bit-identical by
-// construction — the subproblem is the same deterministic program), and
-// dirty or new components are re-solved warm-started from the baseline
-// duals. Stats.ReusedComponents / Stats.DirtyComponents record the
-// split. Decomposition is forced on — it is the unit of reuse — and an
-// unusable baseline (nil, different space, or unconverged) falls back to
-// a full SolveContext, so the delta entry point is always safe to call.
+// component, clean components become reuse records that copy the
+// baseline's converged posterior slice and duals verbatim (zero
+// iterations, bit-identical by construction — the subproblem is the same
+// deterministic program), and dirty or new components are re-solved
+// warm-started from the baseline duals. The list runs through the same
+// driver as SolveContext; Stats.ReusedComponents / Stats.DirtyComponents
+// record the split. Decomposition is forced on — it is the unit of reuse
+// — and an unusable baseline (nil, different space, or unconverged)
+// falls back to a full SolveContext, so the delta entry point is always
+// safe to call.
 func SolveDeltaContext(ctx context.Context, sys *constraint.System, base *Baseline, opts Options) (*Solution, error) {
 	if !base.usable(sys) {
 		return SolveContext(ctx, sys, opts)
 	}
-	start := time.Now()
-	sp := sys.Space()
 	opts.Decompose = true
-	ctx, span := telemetry.Start(ctx, "maxent.solve.delta",
-		telemetry.String("algorithm", opts.Algorithm.String()),
-		telemetry.Int("variables", sp.Len()),
-		telemetry.Int("constraints", sys.Len()))
-	defer span.End()
-	reg := telemetry.Metrics(ctx)
-	logger := telemetry.Logger(ctx)
-	obs := telemetry.SolveObserverFrom(ctx)
-
-	eliminated := 0
-	if opts.Reduce {
-		eliminated = sp.Data().NumBuckets() - len(constraint.TouchedBuckets(sys))
-	}
-	logger.Info("solve.start",
-		"algorithm", opts.Algorithm.String(),
-		"decompose", true,
-		"delta", true,
-		"variables", sp.Len(),
-		"constraints", sys.Len())
-	startAttrs := []telemetry.Attr{
-		telemetry.String("algorithm", opts.Algorithm.String()),
-		telemetry.Bool("decompose", true),
-		telemetry.Bool("delta", true),
-		telemetry.Int("variables", sp.Len()),
-		telemetry.Int("constraints", sys.Len()),
-	}
-	if opts.Reduce {
-		startAttrs = append(startAttrs, telemetry.Int("eliminated_buckets", eliminated))
-	}
-	observe(obs, "solve.start", startAttrs...)
-
-	sol := &Solution{space: sp, X: Uniform(sp)}
-	sol.Stats.Workers = 1
-	sol.Stats.KernelWorkers = 1
-	sol.Stats.EliminatedBuckets = eliminated
-
-	finish := func() {
-		sol.Stats.MaxViolation = sys.MaxViolation(sol.X)
-		sol.Stats.Duration = time.Since(start)
-		span.SetAttr(
-			telemetry.Int("iterations", sol.Stats.Iterations),
-			telemetry.Int("components", sol.Stats.Components),
-			telemetry.Int("reused_components", sol.Stats.ReusedComponents),
-			telemetry.Int("dirty_components", sol.Stats.DirtyComponents),
-			telemetry.Bool("converged", sol.Stats.Converged))
-		sol.Stats.record(reg, sp.Data().NumBuckets())
-		logger.Info("solve.done",
-			"iterations", sol.Stats.Iterations,
-			"evaluations", sol.Stats.Evaluations,
-			"components", sol.Stats.Components,
-			"reused_components", sol.Stats.ReusedComponents,
-			"dirty_components", sol.Stats.DirtyComponents,
-			"reduced_dual_dim", sol.Stats.ReducedDualDim,
-			"eliminated_buckets", sol.Stats.EliminatedBuckets,
-			"converged", sol.Stats.Converged,
-			"max_violation", sol.Stats.MaxViolation,
-			"duration", sol.Stats.Duration.String())
-		observe(obs, "solve.done",
-			telemetry.Int("iterations", sol.Stats.Iterations),
-			telemetry.Int("evaluations", sol.Stats.Evaluations),
-			telemetry.Int("components", sol.Stats.Components),
-			telemetry.Int("reused_components", sol.Stats.ReusedComponents),
-			telemetry.Int("dirty_components", sol.Stats.DirtyComponents),
-			telemetry.Int("reduced_dual_dim", sol.Stats.ReducedDualDim),
-			telemetry.Int("eliminated_buckets", sol.Stats.EliminatedBuckets),
-			telemetry.Bool("converged", sol.Stats.Converged),
-			telemetry.Float("max_violation", sol.Stats.MaxViolation),
-			telemetry.String("duration", sol.Stats.Duration.String()))
-	}
-
-	_, dspan := telemetry.Start(ctx, "maxent.solve.diff")
-	relevant := constraint.TouchedBuckets(sys)
-	sol.Stats.IrrelevantBuckets = sp.Data().NumBuckets() - len(relevant)
-	if len(relevant) == 0 {
-		dspan.SetAttr(telemetry.Int("relevant_buckets", 0))
-		dspan.End()
-		observe(obs, "decompose",
-			telemetry.Int("relevant_buckets", 0),
-			telemetry.Int("irrelevant_buckets", sol.Stats.IrrelevantBuckets),
-			telemetry.Int("components", 0))
-		// No knowledge at all: the closed form is exact (Theorem 4).
-		sol.Stats.Converged = true
-		finish()
-		return sol, nil
-	}
-
-	diff := constraint.DiffSystems(base.Sys, sys)
-	dspan.SetAttr(
-		telemetry.Int("components", len(diff.Components)),
-		telemetry.Int("clean", diff.Clean),
-		telemetry.Int("dirty", diff.Dirty),
-		telemetry.Int("new", diff.New))
-	dspan.End()
-	observe(obs, "decompose",
-		telemetry.Int("relevant_buckets", len(relevant)),
-		telemetry.Int("irrelevant_buckets", sol.Stats.IrrelevantBuckets),
-		telemetry.Int("components", len(diff.Components)))
-
-	baseDual := make(map[string]float64, len(base.Sol.Duals))
-	for _, d := range base.Sol.Duals {
-		baseDual[d.Label] = d.Lambda
-	}
-	comps := make([]solveComponent, 0, len(diff.Components))
-	for _, cd := range diff.Components {
-		if cd.Class == constraint.DiffClean {
-			// Relabel the baseline duals onto the new rows via the differ's
-			// content pairing; old rows presolve dropped carry no dual and
-			// are skipped — exactly as a cold solve of this component would
-			// skip them.
-			var duals []ConstraintDual
-			for k, ri := range cd.Rows {
-				if lam, ok := baseDual[base.Sys.At(cd.OldRows[k]).Label]; ok {
-					c := sys.At(ri)
-					duals = append(duals, ConstraintDual{Label: c.Label, Kind: c.Kind, Lambda: lam})
-				}
-			}
-			comps = append(comps, solveComponent{
-				reuse: &componentReuse{buckets: cd.Buckets, src: base.Sol.X, duals: duals},
-			})
-			continue
-		}
-		rows := make([]rowData, 0, len(cd.Rows))
-		for _, ri := range cd.Rows {
-			c := sys.At(ri)
-			rows = append(rows, rowData{
-				terms:  c.Terms,
-				coeffs: c.Coeffs,
-				rhs:    c.RHS,
-				label:  c.Label,
-				kind:   c.Kind,
-			})
-		}
-		comps = append(comps, solveComponent{rows: rows, dirty: true})
-	}
 	// Warm-start the dirty/new components from the baseline duals; a
 	// caller-supplied seed is appended after so it wins on label clashes
 	// (warmMap keeps the last entry per label).
 	if len(base.Sol.Duals) > 0 {
 		merged := make([]ConstraintDual, 0, len(base.Sol.Duals)+len(opts.WarmStart))
 		merged = append(merged, base.Sol.Duals...)
-		merged = append(merged, opts.WarmStart...)
-		opts.WarmStart = merged
+		opts.WarmStart = append(merged, opts.WarmStart...)
 	}
+	return solveSystem(ctx, "maxent.solve.delta", sys, opts, true, func(ctx context.Context, sol *Solution, touched []int) []solveComponent {
+		_, span := telemetry.Start(ctx, "maxent.solve.diff")
+		diff := &constraint.SystemDiff{}
+		if len(touched) > 0 {
+			diff = constraint.DiffSystems(base.Sys, sys)
+		}
+		span.SetAttr(
+			telemetry.Int("components", len(diff.Components)),
+			telemetry.Int("clean", diff.Clean),
+			telemetry.Int("dirty", diff.Dirty),
+			telemetry.Int("new", diff.New))
+		span.End()
+		emit(ctx, "decompose", sol.decomposition(len(touched), len(diff.Components))...)
 
-	sol.Stats.Components = len(comps)
-	sol.Stats.Converged = true
-	if err := solveComponents(ctx, sol, comps, opts); err != nil {
-		logger.Error("solve.failed", "error", err.Error())
-		observe(obs, "solve.failed", telemetry.String("error", err.Error()))
-		return nil, err
-	}
-	finish()
-	return sol, nil
+		baseDual := make(map[string]float64, len(base.Sol.Duals))
+		for _, d := range base.Sol.Duals {
+			baseDual[d.Label] = d.Lambda
+		}
+		comps := make([]solveComponent, 0, len(diff.Components))
+		for _, cd := range diff.Components {
+			if cd.Class == constraint.DiffClean {
+				// Relabel the baseline duals onto the new rows via the
+				// differ's content pairing; old rows presolve dropped carry
+				// no dual and are skipped — exactly as a cold solve of this
+				// component would skip them.
+				var duals []ConstraintDual
+				for k, ri := range cd.Rows {
+					if lam, ok := baseDual[base.Sys.At(cd.OldRows[k]).Label]; ok {
+						c := sys.At(ri)
+						duals = append(duals, ConstraintDual{Label: c.Label, Kind: c.Kind, Lambda: lam})
+					}
+				}
+				comps = append(comps, solveComponent{
+					reuse: &componentReuse{buckets: cd.Buckets, src: base.Sol.X, duals: duals},
+				})
+				continue
+			}
+			rows := make([]rowData, 0, len(cd.Rows))
+			for _, ri := range cd.Rows {
+				rows = append(rows, rowOf(sys.At(ri)))
+			}
+			comps = append(comps, solveComponent{rows: rows, dirty: true})
+		}
+		return comps
+	})
 }

@@ -1,6 +1,7 @@
 package maxent
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -66,7 +67,7 @@ func convergesAt(t *testing.T, base *constraint.System, tbl *dataset.Table, d *b
 	if err := constraint.AddKnowledge(sys, knowledgeFor(tbl, d, qid, sa, p)); err != nil {
 		return false
 	}
-	sol, err := Solve(sys, opts)
+	sol, err := SolveContext(context.Background(), sys, opts)
 	return err == nil && sol.Stats.Converged
 }
 
@@ -127,7 +128,7 @@ search:
 	if err := constraint.AddKnowledge(oldSys, kA, kB); err != nil {
 		t.Fatal(err)
 	}
-	oldSol, err := Solve(oldSys, opts)
+	oldSol, err := SolveContext(context.Background(), oldSys, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,11 +142,11 @@ search:
 	if err := constraint.AddKnowledge(newSys, kA, kB2); err != nil {
 		t.Fatal(err)
 	}
-	cold, err := Solve(newSys, opts)
+	cold, err := SolveContext(context.Background(), newSys, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	delta, err := SolveDelta(newSys, &Baseline{Sys: oldSys, Sol: oldSol}, opts)
+	delta, err := SolveDeltaContext(context.Background(), newSys, &Baseline{Sys: oldSys, Sol: oldSol}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,13 +209,13 @@ func TestSolveDeltaRenamedRowReusesDuals(t *testing.T) {
 	opts.Solver.GradTol = 1e-8
 	oldSys := base.Clone()
 	oldSys.MustAdd(row("old-name"))
-	oldSol, err := Solve(oldSys, opts)
+	oldSol, err := SolveContext(context.Background(), oldSys, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	newSys := base.Clone()
 	newSys.MustAdd(row("new-name"))
-	delta, err := SolveDelta(newSys, &Baseline{Sys: oldSys, Sol: oldSol}, opts)
+	delta, err := SolveDeltaContext(context.Background(), newSys, &Baseline{Sys: oldSys, Sol: oldSol}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,11 +260,11 @@ func TestSolveDeltaFallsBackWithoutBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := deltaOpts()
-	cold, err := Solve(sys, opts)
+	cold, err := SolveContext(context.Background(), sys, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	delta, err := SolveDelta(sys, nil, opts)
+	delta, err := SolveDeltaContext(context.Background(), sys, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +280,7 @@ func TestSolveDeltaFallsBackWithoutBaseline(t *testing.T) {
 	// An unconverged baseline must not seed reuse either.
 	stale := &Baseline{Sys: sys, Sol: &Solution{space: cold.Space(), X: cold.X}}
 	stale.Sol.Stats.Converged = false
-	delta2, err := SolveDelta(sys, stale, opts)
+	delta2, err := SolveDeltaContext(context.Background(), sys, stale, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +303,7 @@ func TestSolveDeltaWithReduce(t *testing.T) {
 	if err := constraint.AddKnowledge(oldSys, kA); err != nil {
 		t.Fatal(err)
 	}
-	oldSol, err := Solve(oldSys, opts)
+	oldSol, err := SolveContext(context.Background(), oldSys, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,11 +313,11 @@ func TestSolveDeltaWithReduce(t *testing.T) {
 	if err := constraint.AddKnowledge(newSys, kA2); err != nil {
 		t.Fatal(err)
 	}
-	cold, err := Solve(newSys, opts)
+	cold, err := SolveContext(context.Background(), newSys, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	delta, err := SolveDelta(newSys, &Baseline{Sys: oldSys, Sol: oldSol}, opts)
+	delta, err := SolveDeltaContext(context.Background(), newSys, &Baseline{Sys: oldSys, Sol: oldSol}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

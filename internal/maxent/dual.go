@@ -43,7 +43,6 @@ type dualObjective struct {
 	scratch *dualScratch
 	hessOK  bool          // scratch.touch/coeff hold this matrix's adjacency
 	run     linalg.Runner // block executor; nil runs blocks serially
-	fast    bool          // multi-accumulator kernels (Options.FastMath)
 }
 
 func newDualObjective(a *linalg.CSR, c []float64) *dualObjective {
@@ -58,11 +57,6 @@ func newDualObjective(a *linalg.CSR, c []float64) *dualObjective {
 // setRunner installs the executor the blocked kernels fan out on; nil
 // (the default) keeps every kernel on the calling goroutine.
 func (d *dualObjective) setRunner(run linalg.Runner) { d.run = run }
-
-// setFastMath switches the blocked kernels to their multi-accumulator
-// flavours (linalg.ExpDotsFast / MulVecRangeFast). Reassociated sums are
-// not bit-identical to the exact kernels; see Options.FastMath.
-func (d *dualObjective) setFastMath(fast bool) { d.fast = fast }
 
 // forBlocks executes fn for every block index in [0, nb), on the runner
 // when one is installed.
@@ -103,11 +97,7 @@ func (d *dualObjective) Eval(lambda, grad []float64) float64 {
 	s.blockSums = growFloats(s.blockSums, nbCols)
 	d.forBlocks(nbCols, func(b int) {
 		lo, hi := linalg.BlockBounds(b, n)
-		if d.fast {
-			s.blockSums[b] = d.cols.ExpDotsFast(lambda, s.x, lo, hi)
-		} else {
-			s.blockSums[b] = d.cols.ExpDots(lambda, s.x, lo, hi)
-		}
+		s.blockSums[b] = d.cols.ExpDots(lambda, s.x, lo, hi)
 	})
 	var sumExp float64
 	for _, v := range s.blockSums {
@@ -118,11 +108,7 @@ func (d *dualObjective) Eval(lambda, grad []float64) float64 {
 	m := d.a.Rows()
 	d.forBlocks(linalg.NumBlocks(m), func(b int) {
 		lo, hi := linalg.BlockBounds(b, m)
-		if d.fast {
-			d.a.MulVecRangeFast(s.x, grad, lo, hi)
-		} else {
-			d.a.MulVecRange(s.x, grad, lo, hi)
-		}
+		d.a.MulVecRange(s.x, grad, lo, hi)
 		for i := lo; i < hi; i++ {
 			grad[i] -= d.c[i]
 		}
@@ -131,8 +117,6 @@ func (d *dualObjective) Eval(lambda, grad []float64) float64 {
 }
 
 // Primal recovers x(λ) into dst (length = number of active variables).
-// Always the exact kernel: the final posterior write-back stays
-// bit-stable even under FastMath line searches.
 func (d *dualObjective) Primal(lambda, dst []float64) {
 	n := d.a.Cols()
 	d.forBlocks(linalg.NumBlocks(n), func(b int) {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"time"
 
 	"privacymaxent/internal/constraint"
 	"privacymaxent/internal/linalg"
@@ -56,114 +55,47 @@ func VagueKnowledge(sp *constraint.Space, k constraint.DistributionKnowledge, ep
 	return Inequality{Label: c.Label + fmt.Sprintf(" ± %g", eps), Terms: c.Terms, Coeffs: c.Coeffs, Lo: lo, Hi: hi}, nil
 }
 
-// SolveWithInequalities extends Solve with inequality constraints, using
-// the Kazama–Tsujii treatment: each side of a box gets a non-negative
-// Lagrange multiplier, giving a bound-constrained convex dual
+// SolveWithInequalitiesContext extends SolveContext with inequality
+// constraints, using the Kazama–Tsujii treatment: each side of a box gets
+// a non-negative Lagrange multiplier, giving a bound-constrained convex
+// dual
 //
 //	g(λ, α, β) = Σ_j exp(η_j − 1) − λᵀc + αᵀhi − βᵀlo,
 //	η = Aᵀλ + Bᵀ(β − α),   α, β ≥ 0,
 //
 // minimized by projected Barzilai–Borwein gradient descent with Armijo
 // backtracking. Equality constraints are presolved as usual; inequality
-// rows are rewritten over the surviving variables.
-func SolveWithInequalities(sys *constraint.System, ineqs []Inequality, opts Options) (*Solution, error) {
-	return SolveWithInequalitiesContext(context.Background(), sys, ineqs, opts)
-}
-
-// SolveWithInequalitiesContext is SolveWithInequalities with telemetry
-// threaded through the context (a "maxent.solve_inequalities" span plus
-// solve metrics).
+// rows are rewritten over the surviving variables. The context's tracer
+// receives a "maxent.solve_inequalities" span with a presolve child, and
+// its registry the shared solve metrics. The boxed dual has no solver
+// trace hook, so vague solves stream lifecycle events only — no
+// per-iteration frames (see DESIGN.md).
 func SolveWithInequalitiesContext(ctx context.Context, sys *constraint.System, ineqs []Inequality, opts Options) (*Solution, error) {
-	x, stats, err := SolveConstraintsWithInequalitiesContext(
-		ctx, sys.Space().Len(), constraintsOf(sys), ineqs, Uniform(sys.Space()), opts)
+	sp := sys.Space()
+	sol := &Solution{space: sp, X: Uniform(sp)}
+	sol.Stats.Workers = 1
+	start := []telemetry.Attr{
+		telemetry.String("algorithm", "boxed-bb"),
+		telemetry.Int("variables", sp.Len()),
+		telemetry.Int("equalities", sys.Len()),
+		telemetry.Int("inequalities", len(ineqs)),
+	}
+	err := runSolve(ctx, "maxent.solve_inequalities", start, &sol.Stats, 0, func(ctx context.Context) error {
+		return solveBoxed(ctx, sys, ineqs, sol, opts)
+	})
 	if err != nil {
 		return nil, err
 	}
-	return &Solution{space: sys.Space(), X: x, Stats: stats}, nil
+	return sol, nil
 }
 
-// constraintsOf copies a system's constraints into a plain slice.
-func constraintsOf(sys *constraint.System) []constraint.Constraint {
-	out := make([]constraint.Constraint, sys.Len())
-	for i := 0; i < sys.Len(); i++ {
-		out[i] = *sys.At(i)
-	}
-	return out
-}
-
-// SolveConstraintsWithInequalities is the space-agnostic entry point for
-// box-constrained MaxEnt over n variables: equality constraints cons,
-// two-sided inequalities ineqs, and an init vector whose values survive
-// for variables no constraint mentions. The randomization substrate uses
-// it with sampling-tolerance boxes around observed perturbed counts.
-func SolveConstraintsWithInequalities(n int, cons []constraint.Constraint, ineqs []Inequality, init []float64, opts Options) ([]float64, Stats, error) {
-	return SolveConstraintsWithInequalitiesContext(context.Background(), n, cons, ineqs, init, opts)
-}
-
-// SolveConstraintsWithInequalitiesContext adds telemetry to the
-// box-constrained solve: a "maxent.solve_inequalities" span with a
-// presolve child, and the shared solve metrics in the context registry.
-func SolveConstraintsWithInequalitiesContext(ctx context.Context, n int, cons []constraint.Constraint, ineqs []Inequality, init []float64, opts Options) ([]float64, Stats, error) {
-	if len(init) != n {
-		return nil, Stats{}, fmt.Errorf("maxent: init has %d values, want %d", len(init), n)
-	}
-	start := time.Now()
-	ctx, span := telemetry.Start(ctx, "maxent.solve_inequalities",
-		telemetry.Int("variables", n),
-		telemetry.Int("equalities", len(cons)),
-		telemetry.Int("inequalities", len(ineqs)))
-	defer span.End()
-	logger := telemetry.Logger(ctx)
-	obs := telemetry.SolveObserverFrom(ctx)
-	logger.Info("solve.start",
-		"algorithm", "boxed-bb",
-		"variables", n,
-		"equalities", len(cons),
-		"inequalities", len(ineqs))
-	observe(obs, "solve.start",
-		telemetry.String("algorithm", "boxed-bb"),
-		telemetry.Int("variables", n),
-		telemetry.Int("equalities", len(cons)),
-		telemetry.Int("inequalities", len(ineqs)))
-	// The boxed dual has no solver trace hook, so vague solves stream
-	// lifecycle events only — no per-iteration frames (see DESIGN.md).
-	fail := func(err error) {
-		logger.Error("solve.failed", "error", err.Error())
-		observe(obs, "solve.failed", telemetry.String("error", err.Error()))
-	}
-	done := func(stats Stats) {
-		logger.Info("solve.done",
-			"iterations", stats.Iterations,
-			"evaluations", stats.Evaluations,
-			"converged", stats.Converged,
-			"max_violation", stats.MaxViolation,
-			"duration", stats.Duration.String())
-		observe(obs, "solve.done",
-			telemetry.Int("iterations", stats.Iterations),
-			telemetry.Int("evaluations", stats.Evaluations),
-			telemetry.Bool("converged", stats.Converged),
-			telemetry.Float("max_violation", stats.MaxViolation),
-			telemetry.String("duration", stats.Duration.String()))
-	}
-	sol := &Solution{X: append([]float64(nil), init...)}
-	sol.Stats.Workers = 1
-
-	// Slices are shared, not copied: presolve is copy-on-write.
-	rows := make([]rowData, 0, len(cons))
-	for i := range cons {
-		c := &cons[i]
-		rows = append(rows, rowData{
-			terms:  c.Terms,
-			coeffs: c.Coeffs,
-			rhs:    c.RHS,
-			label:  c.Label,
-			kind:   c.Kind,
-		})
-	}
-	red, err := runPresolve(ctx, n, rows)
+// solveBoxed presolves the equalities, rewrites the boxes over the
+// surviving variables and runs the boxed dual, filling sol.X and the
+// solver counters of sol.Stats.
+func solveBoxed(ctx context.Context, sys *constraint.System, ineqs []Inequality, sol *Solution, opts Options) error {
+	red, err := runPresolve(ctx, len(sol.X), systemRows(sys, nil))
 	if err != nil {
-		fail(err)
-		return nil, Stats{}, err
+		return err
 	}
 	for j := 0; j < red.n; j++ {
 		if red.fixed[j] {
@@ -171,7 +103,6 @@ func SolveConstraintsWithInequalitiesContext(ctx context.Context, n int, cons []
 		}
 	}
 	sol.Stats.FixedVariables = red.numFixed()
-	sol.Stats.ActiveVariables = len(red.active)
 
 	// Rewrite inequalities over active variables, folding in fixed ones.
 	type box struct {
@@ -183,15 +114,15 @@ func SolveConstraintsWithInequalitiesContext(ctx context.Context, n int, cons []
 	var boxes []box
 	for _, q := range ineqs {
 		if len(q.Terms) != len(q.Coeffs) {
-			return nil, Stats{}, fmt.Errorf("maxent: inequality %q has %d terms but %d coefficients", q.Label, len(q.Terms), len(q.Coeffs))
+			return fmt.Errorf("maxent: inequality %q has %d terms but %d coefficients", q.Label, len(q.Terms), len(q.Coeffs))
 		}
 		if q.Lo > q.Hi {
-			return nil, Stats{}, fmt.Errorf("maxent: inequality %q has empty box [%g, %g]", q.Label, q.Lo, q.Hi)
+			return fmt.Errorf("maxent: inequality %q has empty box [%g, %g]", q.Label, q.Lo, q.Hi)
 		}
 		b := box{lo: q.Lo, hi: q.Hi, label: q.Label}
 		for k, j := range q.Terms {
 			if j < 0 || j >= red.n {
-				return nil, Stats{}, fmt.Errorf("maxent: inequality %q references term %d out of range", q.Label, j)
+				return fmt.Errorf("maxent: inequality %q references term %d out of range", q.Label, j)
 			}
 			if red.fixed[j] {
 				b.lo -= q.Coeffs[k] * red.value[j]
@@ -210,9 +141,7 @@ func SolveConstraintsWithInequalitiesContext(ctx context.Context, n int, cons []
 		}
 		if len(b.cols) == 0 {
 			if b.lo > presolveTol || b.hi < -presolveTol {
-				err := &ErrInfeasible{Reason: fmt.Sprintf("inequality %q reduces to %g <= 0 <= %g", q.label(), b.lo, b.hi)}
-				fail(err)
-				return nil, Stats{}, err
+				return &ErrInfeasible{Reason: fmt.Sprintf("inequality %q reduces to %g <= 0 <= %g", q.label(), b.lo, b.hi)}
 			}
 			continue
 		}
@@ -222,11 +151,8 @@ func SolveConstraintsWithInequalitiesContext(ctx context.Context, n int, cons []
 
 	if len(red.active) == 0 {
 		sol.Stats.Converged = true
-		sol.Stats.MaxViolation = maxViolationOf(cons, sol.X)
-		sol.Stats.Duration = time.Since(start)
-		sol.Stats.record(telemetry.Metrics(ctx), 0)
-		done(sol.Stats)
-		return sol.X, sol.Stats, nil
+		sol.Stats.MaxViolation = sys.MaxViolation(sol.X)
+		return nil
 	}
 
 	// Assemble A (equalities) and B (inequality bodies).
@@ -238,7 +164,7 @@ func SolveConstraintsWithInequalitiesContext(ctx context.Context, n int, cons []
 			cols[k] = red.newIdx[j]
 		}
 		if err := a.AppendRow(cols, row.coeffs); err != nil {
-			return nil, Stats{}, fmt.Errorf("maxent: assembling equalities: %w", err)
+			return fmt.Errorf("maxent: assembling equalities: %w", err)
 		}
 		ceq = append(ceq, row.rhs)
 	}
@@ -247,7 +173,7 @@ func SolveConstraintsWithInequalitiesContext(ctx context.Context, n int, cons []
 	hi := make([]float64, 0, len(boxes))
 	for _, b := range boxes {
 		if err := bm.AppendRow(b.cols, b.coeffs); err != nil {
-			return nil, Stats{}, fmt.Errorf("maxent: assembling inequalities: %w", err)
+			return fmt.Errorf("maxent: assembling inequalities: %w", err)
 		}
 		lo = append(lo, b.lo)
 		hi = append(hi, b.hi)
@@ -262,7 +188,7 @@ func SolveConstraintsWithInequalitiesContext(ctx context.Context, n int, cons []
 	}
 
 	// Report the worst violation across equalities and box sides.
-	worst := maxViolationOf(cons, sol.X)
+	worst := sys.MaxViolation(sol.X)
 	bx := make([]float64, bm.Rows())
 	bm.MulVec(xActive, bx)
 	for i := range bx {
@@ -274,26 +200,7 @@ func SolveConstraintsWithInequalitiesContext(ctx context.Context, n int, cons []
 		}
 	}
 	sol.Stats.MaxViolation = worst
-	sol.Stats.Duration = time.Since(start)
-	span.SetAttr(
-		telemetry.Int("iterations", sol.Stats.Iterations),
-		telemetry.Bool("converged", sol.Stats.Converged))
-	sol.Stats.record(telemetry.Metrics(ctx), 0)
-	done(sol.Stats)
-	return sol.X, sol.Stats, nil
-}
-
-// maxViolationOf computes the worst |residual| of a constraint list at x.
-func maxViolationOf(cons []constraint.Constraint, x []float64) float64 {
-	var worst float64
-	for i := range cons {
-		if r := cons[i].Residual(x); r > worst {
-			worst = r
-		} else if -r > worst {
-			worst = -r
-		}
-	}
-	return worst
+	return nil
 }
 
 func (b *Inequality) label() string {
@@ -379,8 +286,9 @@ func solveBoxedDual(a *linalg.CSR, c []float64, bm *linalg.CSR, lo, hi []float64
 
 	g := eval(mu, grad)
 	step := 1.0
-	for iter := 0; iter < maxIter; iter++ {
-		iterations = iter
+	// iterations counts accepted steps, so a solve that uses up the cap
+	// reports MaxIterations, like the other algorithms.
+	for ; iterations < maxIter; iterations++ {
 		// Projected-gradient optimality measure.
 		var pg float64
 		for i := range grad {
@@ -398,7 +306,7 @@ func solveBoxedDual(a *linalg.CSR, c []float64, bm *linalg.CSR, lo, hi []float64
 		}
 
 		// Barzilai–Borwein step from the previous pair.
-		if iter > 0 {
+		if iterations > 0 {
 			var sy, ss float64
 			for i := range mu {
 				s := mu[i] - muPrev[i]

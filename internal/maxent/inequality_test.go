@@ -1,6 +1,7 @@
 package maxent
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -30,7 +31,7 @@ func TestInequalityInactiveBoxMatchesUnconstrained(t *testing.T) {
 	// 0.1*0.2/0.4 + 0.1*(1/10)/0.3 = 0.05 + 0.0333... ≈ 0.0833. A box
 	// [0, 0.5] does not bind.
 	ineq := Inequality{Terms: terms, Coeffs: []float64{1, 1}, Lo: 0, Hi: 0.5}
-	sol, err := SolveWithInequalities(sys, []Inequality{ineq}, Options{})
+	sol, err := SolveWithInequalitiesContext(context.Background(), sys, []Inequality{ineq}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestInequalityBindingUpperBound(t *testing.T) {
 	// Force P(q3,s3) ≤ 0.04, below the unconstrained 0.0833: the bound
 	// must bind (solution sits at 0.04 within tolerance).
 	ineq := Inequality{Terms: terms, Coeffs: []float64{1, 1}, Lo: 0, Hi: 0.04}
-	sol, err := SolveWithInequalities(sys, []Inequality{ineq}, Options{Solver: solver.Options{MaxIterations: 20000, GradTol: 1e-9}})
+	sol, err := SolveWithInequalitiesContext(context.Background(), sys, []Inequality{ineq}, Options{Solver: solver.Options{MaxIterations: 20000, GradTol: 1e-9}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestInequalityTightBoxMatchesEquality(t *testing.T) {
 	tbl, d, sp, sysIneq := paperSystem(t)
 	terms := ineqKnowledgeTerm(t, sp)
 	ineq := Inequality{Terms: terms, Coeffs: []float64{1, 1}, Lo: 0.1, Hi: 0.1}
-	solIneq, err := SolveWithInequalities(sysIneq, []Inequality{ineq}, Options{Solver: solver.Options{MaxIterations: 50000, GradTol: 1e-10}})
+	solIneq, err := SolveWithInequalitiesContext(context.Background(), sysIneq, []Inequality{ineq}, Options{Solver: solver.Options{MaxIterations: 50000, GradTol: 1e-10}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestInequalityTightBoxMatchesEquality(t *testing.T) {
 	if err := constraint.AddKnowledge(sysEq, knowledgeFor(tbl, d, 2, s3, 0.5)); err != nil {
 		t.Fatal(err)
 	}
-	solEq, err := Solve(sysEq, Options{Solver: solver.Options{GradTol: 1e-11}})
+	solEq, err := SolveContext(context.Background(), sysEq, Options{Solver: solver.Options{GradTol: 1e-11}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestVagueKnowledge(t *testing.T) {
 	if math.Abs(ineq.Lo-0.16) > 1e-12 || math.Abs(ineq.Hi-0.2) > 1e-12 {
 		t.Fatalf("box = [%g, %g], want [0.16, 0.2]", ineq.Lo, ineq.Hi)
 	}
-	sol, err := SolveWithInequalities(sys, []Inequality{ineq}, Options{Solver: solver.Options{MaxIterations: 20000}})
+	sol, err := SolveWithInequalitiesContext(context.Background(), sys, []Inequality{ineq}, Options{Solver: solver.Options{MaxIterations: 20000}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestInequalityValidation(t *testing.T) {
 		{Terms: terms, Coeffs: []float64{1, 1}, Lo: 1, Hi: 0.5}, // empty box
 	}
 	for i, q := range cases {
-		if _, err := SolveWithInequalities(sys, []Inequality{q}, Options{}); err == nil {
+		if _, err := SolveWithInequalitiesContext(context.Background(), sys, []Inequality{q}, Options{}); err == nil {
 			t.Errorf("case %d: expected error", i)
 		}
 	}
@@ -163,7 +164,7 @@ func TestInequalityValidation(t *testing.T) {
 
 func TestInequalityNoInequalitiesMatchesSolve(t *testing.T) {
 	_, _, sp, sys := paperSystem(t)
-	sol, err := SolveWithInequalities(sys, nil, Options{})
+	sol, err := SolveWithInequalitiesContext(context.Background(), sys, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,6 +172,22 @@ func TestInequalityNoInequalitiesMatchesSolve(t *testing.T) {
 	for i := range want {
 		if math.Abs(sol.X[i]-want[i]) > 1e-6 {
 			t.Fatalf("x[%d] = %g, want %g", i, sol.X[i], want[i])
+		}
+	}
+}
+
+// TestBoxedIterationsCapped: a boxed solve that uses up its iteration
+// budget reports exactly MaxIterations, like the other algorithms.
+func TestBoxedIterationsCapped(t *testing.T) {
+	_, _, sp, sys := paperSystem(t)
+	ineq := Inequality{Terms: ineqKnowledgeTerm(t, sp), Coeffs: []float64{1, 1}, Lo: 0, Hi: 0.04}
+	for _, limit := range []int{1, 3, 5} {
+		sol, err := SolveWithInequalitiesContext(context.Background(), sys, []Inequality{ineq}, Options{Solver: solver.Options{MaxIterations: limit, GradTol: 1e-12}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol.Stats.Converged || sol.Stats.Iterations != limit {
+			t.Fatalf("cap %d: iterations = %d (converged=%v), want the cap", limit, sol.Stats.Iterations, sol.Stats.Converged)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package maxent
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -62,7 +63,7 @@ func TestConsistencyTheorem(t *testing.T) {
 	_, _, sp, sys := paperSystem(t)
 	want := Uniform(sp)
 	for _, alg := range []Algorithm{LBFGS, SteepestDescent, GIS, Newton, IIS} {
-		sol, err := Solve(sys, Options{Algorithm: alg, Solver: solver.Options{MaxIterations: 5000, GradTol: 1e-10}})
+		sol, err := SolveContext(context.Background(), sys, Options{Algorithm: alg, Solver: solver.Options{MaxIterations: 5000, GradTol: 1e-10}})
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
@@ -95,7 +96,7 @@ func TestSection31ExactInference(t *testing.T) {
 	if err := constraint.AddKnowledge(sys, ks...); err != nil {
 		t.Fatal(err)
 	}
-	sol, err := Solve(sys, Options{})
+	sol, err := SolveContext(context.Background(), sys, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestBreastCancerInference(t *testing.T) {
 	if err := constraint.AddKnowledge(sys, k); err != nil {
 		t.Fatal(err)
 	}
-	sol, err := Solve(sys, Options{})
+	sol, err := SolveContext(context.Background(), sys, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestSolveWithKnowledgeAllAlgorithms(t *testing.T) {
 		if err := constraint.AddKnowledge(sys, knowledgeFor(tbl, d, 2, s3, 0.5)); err != nil {
 			t.Fatal(err)
 		}
-		sol, err := Solve(sys, Options{Algorithm: alg, Solver: solver.Options{MaxIterations: 20000, GradTol: 1e-10}})
+		sol, err := SolveContext(context.Background(), sys, Options{Algorithm: alg, Solver: solver.Options{MaxIterations: 20000, GradTol: 1e-10}})
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
@@ -200,11 +201,11 @@ func TestDecomposeMatchesFullSolve(t *testing.T) {
 	if err := constraint.AddKnowledge(sysDec, k); err != nil {
 		t.Fatal(err)
 	}
-	full, err := Solve(sysFull, Options{Solver: solver.Options{GradTol: 1e-11}})
+	full, err := SolveContext(context.Background(), sysFull, Options{Solver: solver.Options{GradTol: 1e-11}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := Solve(sysDec, Options{Decompose: true, Solver: solver.Options{GradTol: 1e-11}})
+	dec, err := SolveContext(context.Background(), sysDec, Options{Decompose: true, Solver: solver.Options{GradTol: 1e-11}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +224,7 @@ func TestDecomposeMatchesFullSolve(t *testing.T) {
 
 func TestDecomposeNoKnowledgeShortCircuits(t *testing.T) {
 	_, _, sp, sys := paperSystem(t)
-	sol, err := Solve(sys, Options{Decompose: true})
+	sol, err := SolveContext(context.Background(), sys, Options{Decompose: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +254,7 @@ func TestInfeasibleContradictoryKnowledge(t *testing.T) {
 	); err != nil {
 		t.Fatal(err)
 	}
-	_, err := Solve(sys, Options{})
+	_, err := SolveContext(context.Background(), sys, Options{})
 	var inf *ErrInfeasible
 	if !errors.As(err, &inf) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
@@ -263,13 +264,13 @@ func TestInfeasibleContradictoryKnowledge(t *testing.T) {
 func TestInfeasibleExcessProbability(t *testing.T) {
 	// P(s1 | q2) = 1 demands joint mass 0.2 for (q2, s1), but s1 only
 	// coexists with q2 in bucket 1, which holds s1 mass 0.1. The dual is
-	// unbounded; Solve must not report a converged, feasible solution.
+	// unbounded; SolveContext must not report a converged, feasible solution.
 	tbl, d, _, sys := paperSystem(t)
 	s1 := tbl.Schema().SA().MustCode("Breast Cancer")
 	if err := constraint.AddKnowledge(sys, knowledgeFor(tbl, d, 1, s1, 1)); err != nil {
 		t.Fatal(err)
 	}
-	sol, err := Solve(sys, Options{Solver: solver.Options{MaxIterations: 300}})
+	sol, err := SolveContext(context.Background(), sys, Options{Solver: solver.Options{MaxIterations: 300}})
 	if err != nil {
 		var inf *ErrInfeasible
 		if errors.As(err, &inf) {
@@ -288,7 +289,7 @@ func TestPosteriorRowsSumToOne(t *testing.T) {
 	if err := constraint.AddKnowledge(sys, knowledgeFor(tbl, d, 2, s3, 0.5)); err != nil {
 		t.Fatal(err)
 	}
-	sol, err := Solve(sys, Options{})
+	sol, err := SolveContext(context.Background(), sys, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +309,7 @@ func TestPosteriorNoKnowledgeMatchesBucketFormula(t *testing.T) {
 	// Without knowledge, P(s|q) = Σ_b P(q,b)·(share of s in b) / P(q) —
 	// the standard formula existing metrics use (Sec. 3.1 + Eq. 9).
 	_, d, sp, sys := paperSystem(t)
-	sol, err := Solve(sys, Options{})
+	sol, err := SolveContext(context.Background(), sys, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +336,7 @@ func TestPosteriorNoKnowledgeMatchesBucketFormula(t *testing.T) {
 
 func TestEntropyIdentities(t *testing.T) {
 	_, d, _, sys := paperSystem(t)
-	sol, err := Solve(sys, Options{})
+	sol, err := SolveContext(context.Background(), sys, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +365,7 @@ func TestEntropyIdentities(t *testing.T) {
 // lower the maximum achievable entropy.
 func TestKnowledgeReducesEntropy(t *testing.T) {
 	tbl, d, _, sysPlain := paperSystem(t)
-	plain, err := Solve(sysPlain, Options{})
+	plain, err := SolveContext(context.Background(), sysPlain, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +374,7 @@ func TestKnowledgeReducesEntropy(t *testing.T) {
 	if err := constraint.AddKnowledge(sysK, knowledgeFor(tbl, d, 2, s3, 1)); err != nil {
 		t.Fatal(err)
 	}
-	withK, err := Solve(sysK, Options{})
+	withK, err := SolveContext(context.Background(), sysK, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,9 +392,29 @@ func TestAlgorithmString(t *testing.T) {
 	}
 }
 
+// TestParseAlgorithm: ParseAlgorithm inverts String for all five
+// algorithms in any case, maps the empty name to the LBFGS default and
+// rejects unknown names.
+func TestParseAlgorithm(t *testing.T) {
+	for _, alg := range []Algorithm{LBFGS, SteepestDescent, GIS, Newton, IIS} {
+		for _, name := range []string{alg.String(), strings.ToUpper(alg.String())} {
+			got, err := ParseAlgorithm(name)
+			if err != nil || got != alg {
+				t.Errorf("ParseAlgorithm(%q) = %v, %v; want %v", name, got, err, alg)
+			}
+		}
+	}
+	if got, err := ParseAlgorithm(""); err != nil || got != LBFGS {
+		t.Errorf("ParseAlgorithm(\"\") = %v, %v; want lbfgs", got, err)
+	}
+	if _, err := ParseAlgorithm("simplex"); err == nil || !strings.Contains(err.Error(), `"simplex"`) {
+		t.Fatalf("unknown algorithm: err = %v", err)
+	}
+}
+
 func TestJointOutsideSpaceIsZero(t *testing.T) {
 	_, _, _, sys := paperSystem(t)
-	sol, err := Solve(sys, Options{})
+	sol, err := SolveContext(context.Background(), sys, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +453,7 @@ func TestRandomFeasibleKnowledge(t *testing.T) {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
 		}
-		sol, err := Solve(sys, Options{Decompose: trial%2 == 0, Solver: solver.Options{MaxIterations: 3000, GradTol: 1e-9}})
+		sol, err := SolveContext(context.Background(), sys, Options{Decompose: trial%2 == 0, Solver: solver.Options{MaxIterations: 3000, GradTol: 1e-9}})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -501,11 +522,11 @@ func TestComponentDecomposition(t *testing.T) {
 	if err := constraint.AddKnowledge(sysDec, ks...); err != nil {
 		t.Fatal(err)
 	}
-	full, err := Solve(sysFull, Options{Solver: solver.Options{GradTol: 1e-11}})
+	full, err := SolveContext(context.Background(), sysFull, Options{Solver: solver.Options{GradTol: 1e-11}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := Solve(sysDec, Options{Decompose: true, Solver: solver.Options{GradTol: 1e-11}})
+	dec, err := SolveContext(context.Background(), sysDec, Options{Decompose: true, Solver: solver.Options{GradTol: 1e-11}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -552,11 +573,11 @@ func TestParallelComponentsMatchSequential(t *testing.T) {
 		}
 		return sys
 	}
-	seq, err := Solve(buildSys(), Options{Decompose: true, Solver: solver.Options{GradTol: 1e-10}})
+	seq, err := SolveContext(context.Background(), buildSys(), Options{Decompose: true, Solver: solver.Options{GradTol: 1e-10}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Solve(buildSys(), Options{Decompose: true, Workers: 4, Solver: solver.Options{GradTol: 1e-10}})
+	par, err := SolveContext(context.Background(), buildSys(), Options{Decompose: true, Workers: 4, Solver: solver.Options{GradTol: 1e-10}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -630,7 +651,7 @@ func TestDualsExposed(t *testing.T) {
 	if err := constraint.AddKnowledge(sys, knowledgeFor(tbl, d, 2, s3, 0.9)); err != nil {
 		t.Fatal(err)
 	}
-	sol, err := Solve(sys, Options{})
+	sol, err := SolveContext(context.Background(), sys, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -656,7 +677,7 @@ func TestDualsExposed(t *testing.T) {
 	if err := constraint.AddKnowledge(sys2, knowledgeFor(tbl, d, 2, s3, 0.9)); err != nil {
 		t.Fatal(err)
 	}
-	gisSol, err := Solve(sys2, Options{Algorithm: GIS, Solver: solver.Options{MaxIterations: 4000}})
+	gisSol, err := SolveContext(context.Background(), sys2, Options{Algorithm: GIS, Solver: solver.Options{MaxIterations: 4000}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -706,7 +727,7 @@ func TestMaxEntDominatesFeasiblePoints(t *testing.T) {
 				}
 			}
 		}
-		sol, err := Solve(sys, Options{Solver: solver.Options{MaxIterations: 4000, GradTol: 1e-10}})
+		sol, err := SolveContext(context.Background(), sys, Options{Solver: solver.Options{MaxIterations: 4000, GradTol: 1e-10}})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -737,7 +758,7 @@ func TestMaxEntDominatesFeasiblePoints(t *testing.T) {
 
 func TestConditionalInBucket(t *testing.T) {
 	_, d, _, sys := paperSystem(t)
-	sol, err := Solve(sys, Options{})
+	sol, err := SolveContext(context.Background(), sys, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -777,7 +798,7 @@ func TestSolveConstraintsDirect(t *testing.T) {
 		{Kind: constraint.Knowledge, Label: "pin", Terms: []int{2}, Coeffs: []float64{1}, RHS: 0.4},
 	}
 	init := []float64{0, 0, 0}
-	x, stats, err := SolveConstraints(3, cons, init, Options{})
+	x, stats, err := SolveConstraintsContext(context.Background(), 3, cons, init, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -796,7 +817,7 @@ func TestSolveConstraintsDirect(t *testing.T) {
 		t.Fatalf("violation %g", stats.MaxViolation)
 	}
 	// Arity guard.
-	if _, _, err := SolveConstraints(3, cons, []float64{0}, Options{}); err == nil {
+	if _, _, err := SolveConstraintsContext(context.Background(), 3, cons, []float64{0}, Options{}); err == nil {
 		t.Fatal("expected init-length error")
 	}
 	// Infeasible systems surface the typed error with a message.
@@ -804,7 +825,7 @@ func TestSolveConstraintsDirect(t *testing.T) {
 		{Kind: constraint.Knowledge, Label: "a", Terms: []int{0}, Coeffs: []float64{1}, RHS: 0.1},
 		{Kind: constraint.Knowledge, Label: "b", Terms: []int{0}, Coeffs: []float64{1}, RHS: 0.9},
 	}
-	_, _, err = SolveConstraints(1, bad, []float64{0}, Options{})
+	_, _, err = SolveConstraintsContext(context.Background(), 1, bad, []float64{0}, Options{})
 	var inf *ErrInfeasible
 	if !errors.As(err, &inf) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
@@ -817,7 +838,7 @@ func TestSolveConstraintsDirect(t *testing.T) {
 // TestSolutionSpaceAccessor covers the Space getter.
 func TestSolutionSpaceAccessor(t *testing.T) {
 	_, _, sp, sys := paperSystem(t)
-	sol, err := Solve(sys, Options{})
+	sol, err := SolveContext(context.Background(), sys, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"log/slog"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -173,5 +175,125 @@ func TestSolveObserverFeed(t *testing.T) {
 	}
 	if sol.Stats.Iterations == 0 {
 		t.Error("stats report zero iterations for a solve with knowledge")
+	}
+}
+
+// recordingObserver keeps every lifecycle event with its attribute keys.
+type recordingObserver struct {
+	mu     sync.Mutex
+	events []string // "name key1,key2,…" with the keys sorted
+	names  []string
+}
+
+func (o *recordingObserver) SolveEvent(name string, attrs ...telemetry.Attr) {
+	keys := make([]string, len(attrs))
+	for i, a := range attrs {
+		keys[i] = a.Key
+	}
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.events = append(o.events, eventSignature(name, keys))
+	o.names = append(o.names, name)
+}
+
+func (o *recordingObserver) SolveIteration(component, iteration int, objective, gradNorm float64) {}
+
+// eventSignature renders an event name plus its sorted attribute keys.
+func eventSignature(name string, keys []string) string {
+	sort.Strings(keys)
+	return name + " " + strings.Join(keys, ",")
+}
+
+// loggedSignatures parses a JSON slog stream into event signatures,
+// dropping the handler's own time/level/msg fields.
+func loggedSignatures(t *testing.T, out string) []string {
+	t.Helper()
+	var sigs []string
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
+		var ev map[string]any
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("corrupt log line: %v\n%s", err, line)
+		}
+		var keys []string
+		for k := range ev {
+			if k != "time" && k != "level" && k != "msg" {
+				keys = append(keys, k)
+			}
+		}
+		sigs = append(sigs, eventSignature(ev["msg"].(string), keys))
+	}
+	return sigs
+}
+
+// TestLifecycleParity: the solve-event logger and the solve observer
+// receive the same lifecycle events with the same attribute keys on
+// every solve path — decomposed, undecomposed, delta and boxed. Events
+// are compared as multisets, since parallel components finish in any
+// order.
+func TestLifecycleParity(t *testing.T) {
+	tbl, d, sp, base := paperSystem(t)
+	s3 := tbl.Schema().SA().MustCode("Pneumonia")
+	sys := base.Clone()
+	if err := constraint.AddKnowledge(sys, knowledgeFor(tbl, d, 2, s3, 0.5)); err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Decompose: true, Workers: 4}
+	baseline, err := SolveContext(context.Background(), sys, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	box := Inequality{Terms: ineqKnowledgeTerm(t, sp), Coeffs: []float64{1, 1}, Lo: 0, Hi: 0.04}
+
+	solves := map[string]func(ctx context.Context) error{
+		"decomposed": func(ctx context.Context) error {
+			_, err := SolveContext(ctx, sys, opts)
+			return err
+		},
+		"undecomposed": func(ctx context.Context) error {
+			_, err := SolveContext(ctx, sys, Options{Reduce: true})
+			return err
+		},
+		"delta": func(ctx context.Context) error {
+			_, err := SolveDeltaContext(ctx, sys, &Baseline{Sys: sys, Sol: baseline}, opts)
+			return err
+		},
+		"boxed": func(ctx context.Context) error {
+			_, err := SolveWithInequalitiesContext(ctx, base, []Inequality{box}, Options{})
+			return err
+		},
+	}
+	for name, solve := range solves {
+		out := &syncWriter{}
+		obs := &recordingObserver{}
+		ctx := telemetry.WithLogger(context.Background(), slog.New(slog.NewJSONHandler(out, nil)))
+		ctx = telemetry.WithSolveObserver(ctx, obs)
+		if err := solve(ctx); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		logged := loggedSignatures(t, out.String())
+		observed := append([]string(nil), obs.events...)
+		sort.Strings(logged)
+		sort.Strings(observed)
+		if !reflect.DeepEqual(logged, observed) {
+			t.Errorf("%s: sinks disagree\nlogger:   %q\nobserver: %q", name, logged, observed)
+		}
+		if len(observed) < 3 {
+			t.Errorf("%s: only %d events: %q", name, len(observed), observed)
+		}
+	}
+}
+
+// TestBoxedSolveFailureClosesLifecycle: a boxed solve that rejects its
+// input after solve.start still finishes its lifecycle with solve.failed.
+func TestBoxedSolveFailureClosesLifecycle(t *testing.T) {
+	_, _, sp, sys := paperSystem(t)
+	bad := Inequality{Label: "oob", Terms: []int{sp.Len()}, Coeffs: []float64{1}, Lo: 0, Hi: 1}
+	obs := &recordingObserver{}
+	ctx := telemetry.WithSolveObserver(context.Background(), obs)
+	if _, err := SolveWithInequalitiesContext(ctx, sys, []Inequality{bad}, Options{}); err == nil {
+		t.Fatal("out-of-range term accepted")
+	}
+	if want := []string{"solve.start", "presolve", "solve.failed"}; !reflect.DeepEqual(obs.names, want) {
+		t.Fatalf("events = %q, want %q", obs.names, want)
 	}
 }

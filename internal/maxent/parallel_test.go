@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"privacymaxent/internal/constraint"
@@ -47,16 +48,17 @@ func randomFeasibleConstraints(rng *rand.Rand, n, m int) []constraint.Constraint
 	return cons
 }
 
-// kernelWorkerGrid is the property-test grid: serial kernels, a width
-// below GOMAXPROCS-style counts, and a width far above the container's
-// CPU count (oversubscription must not change results either).
+// kernelWorkerGrid is the property-test grid of Options.Workers values,
+// which size the kernels too: serial, a width below GOMAXPROCS-style
+// counts, and a width far above the container's CPU count
+// (oversubscription must not change results either).
 var kernelWorkerGrid = []int{-1, 2, 8}
 
 // TestKernelWorkersBitIdentical is the central determinism property of
 // the blocked kernels: for every dual algorithm, the solution vector and
 // the iteration/evaluation counts are bit-for-bit identical at every
-// kernel worker count, across random feasible systems whose active
-// variable counts span the block-partition boundary.
+// kernel width (Options.Workers), across random feasible systems whose
+// active variable counts span the block-partition boundary.
 func TestKernelWorkersBitIdentical(t *testing.T) {
 	algs := []Algorithm{LBFGS, Newton, SteepestDescent}
 	sizes := [][2]int{{40, 6}, {700, 10}, {1300, 12}}
@@ -69,10 +71,10 @@ func TestKernelWorkersBitIdentical(t *testing.T) {
 			init[i] = 1.0 / float64(n)
 		}
 		for _, alg := range algs {
-			opts := Options{Algorithm: alg, KernelWorkers: -1}
+			opts := Options{Algorithm: alg, Workers: -1}
 			opts.Solver.MaxIterations = 400
 			opts.Solver.GradTol = 1e-10
-			want, wantStats, err := SolveConstraints(n, cons, init, opts)
+			want, wantStats, err := SolveConstraintsContext(context.Background(), n, cons, init, opts)
 			if err != nil {
 				t.Fatalf("n=%d %v serial: %v", n, alg, err)
 			}
@@ -81,8 +83,8 @@ func TestKernelWorkersBitIdentical(t *testing.T) {
 					n, alg, wantStats.Workers, wantStats.KernelWorkers)
 			}
 			for _, kw := range kernelWorkerGrid[1:] {
-				opts.KernelWorkers = kw
-				got, gotStats, err := SolveConstraints(n, cons, init, opts)
+				opts.Workers = kw
+				got, gotStats, err := SolveConstraintsContext(context.Background(), n, cons, init, opts)
 				if err != nil {
 					t.Fatalf("n=%d %v kw=%d: %v", n, alg, kw, err)
 				}
@@ -103,10 +105,11 @@ func TestKernelWorkersBitIdentical(t *testing.T) {
 	}
 }
 
-// TestKernelWorkersSolveParity runs the full Solve path — presolve,
-// optional decomposition, warm collection of duals and trajectories — on
-// a real Adult-style workload and asserts posteriors, trajectories and
-// duals are bit-identical at every kernel worker count, with and without
+// TestKernelWorkersSolveParity runs the full SolveContext path —
+// presolve, optional decomposition, warm collection of duals and
+// trajectories — on a real Adult-style workload and asserts posteriors,
+// trajectories and duals are bit-identical at every worker count (kernel
+// width and, when decomposing, component fan-out), with and without
 // decomposition. This is the serial-vs-parallel parity that auditdiff
 // certifies on audit snapshots: identical X means identical residuals,
 // identical trajectories mean identical iteration records.
@@ -115,10 +118,10 @@ func TestKernelWorkersSolveParity(t *testing.T) {
 	for _, decompose := range []bool{false, true} {
 		var want *Solution
 		for _, kw := range kernelWorkerGrid {
-			opts := Options{Decompose: decompose, Workers: -1, KernelWorkers: kw, CaptureTrace: true}
+			opts := Options{Decompose: decompose, Workers: kw, CaptureTrace: true}
 			opts.Solver.MaxIterations = 3000
 			opts.Solver.GradTol = 1e-7
-			sol, err := Solve(workloadSystem(t, d, selected), opts)
+			sol, err := SolveContext(context.Background(), workloadSystem(t, d, selected), opts)
 			if err != nil {
 				t.Fatalf("decompose=%v kw=%d: %v", decompose, kw, err)
 			}
@@ -150,10 +153,10 @@ func TestKernelWorkersSolveParity(t *testing.T) {
 // old bug), and a serial request still reports 1.
 func TestNonDecomposedWorkersReported(t *testing.T) {
 	d, selected := solveWorkload(t)
-	opts := Options{KernelWorkers: 3}
+	opts := Options{Workers: 3}
 	opts.Solver.MaxIterations = 3000
 	opts.Solver.GradTol = 1e-6
-	sol, err := Solve(workloadSystem(t, d, selected), opts)
+	sol, err := SolveContext(context.Background(), workloadSystem(t, d, selected), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,8 +164,8 @@ func TestNonDecomposedWorkersReported(t *testing.T) {
 		t.Fatalf("non-decomposed solve recorded workers=%d kernel=%d, want 3/3",
 			sol.Stats.Workers, sol.Stats.KernelWorkers)
 	}
-	opts.KernelWorkers = -1
-	sol, err = Solve(workloadSystem(t, d, selected), opts)
+	opts.Workers = -1
+	sol, err = SolveContext(context.Background(), workloadSystem(t, d, selected), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,20 +175,27 @@ func TestNonDecomposedWorkersReported(t *testing.T) {
 	}
 }
 
-// TestKernelWorkerCountResolution pins the option semantics: zero
-// inherits the resolved component worker count, negatives force 1.
+// TestKernelWorkerCountResolution pins the kernel width's semantics: it
+// is the resolved Options.Workers count — zero means GOMAXPROCS,
+// negatives mean serial — and Stats.KernelWorkers records it.
 func TestKernelWorkerCountResolution(t *testing.T) {
-	if got, want := (Options{}).kernelWorkerCount(), (Options{}).workerCount(); got != want {
-		t.Fatalf("zero KernelWorkers resolved to %d, want inherited %d", got, want)
+	const n = 40
+	cons := randomFeasibleConstraints(rand.New(rand.NewSource(5)), n, 6)
+	init := make([]float64, n)
+	for i := range init {
+		init[i] = 1.0 / n
 	}
-	if got := (Options{Workers: 6}).kernelWorkerCount(); got != 6 {
-		t.Fatalf("inherit from Workers=6 resolved to %d", got)
-	}
-	if got := (Options{Workers: 6, KernelWorkers: -2}).kernelWorkerCount(); got != 1 {
-		t.Fatalf("negative KernelWorkers resolved to %d, want 1", got)
-	}
-	if got := (Options{KernelWorkers: 5}).kernelWorkerCount(); got != 5 {
-		t.Fatalf("explicit KernelWorkers resolved to %d, want 5", got)
+	for _, tc := range []struct{ workers, want int }{
+		{0, runtime.GOMAXPROCS(0)}, {-2, 1}, {1, 1}, {5, 5},
+	} {
+		_, stats, err := SolveConstraintsContext(context.Background(), n, cons, init, Options{Workers: tc.workers})
+		if err != nil {
+			t.Fatalf("Workers=%d: %v", tc.workers, err)
+		}
+		if stats.KernelWorkers != tc.want || stats.Workers != tc.want {
+			t.Fatalf("Workers=%d recorded workers=%d kernel=%d, want %d/%d",
+				tc.workers, stats.Workers, stats.KernelWorkers, tc.want, tc.want)
+		}
 	}
 }
 
@@ -193,13 +203,13 @@ func TestKernelWorkerCountResolution(t *testing.T) {
 // after the first optimizer iteration, while the parallel kernels are
 // hot — and checks the solver surfaces ErrInterrupted and the shared
 // pool drains cleanly (run with -race, nothing may still be touching the
-// kernel buffers when Solve returns; the deferred pool Close would hang
-// if a region leaked).
+// kernel buffers when SolveContext returns; the deferred pool Close would
+// hang if a region leaked).
 func TestCancelMidKernelDrains(t *testing.T) {
 	d, selected := solveWorkload(t)
 	for _, decompose := range []bool{false, true} {
 		ctx, cancel := context.WithCancel(context.Background())
-		opts := Options{Decompose: decompose, KernelWorkers: 4}
+		opts := Options{Decompose: decompose, Workers: 4}
 		opts.Solver.MaxIterations = 3000
 		opts.Solver.GradTol = 1e-12 // keep it running until cancelled
 		opts.Solver.Trace = func(ev solver.TraceEvent) {

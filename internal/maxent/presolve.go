@@ -34,25 +34,22 @@ type rowData struct {
 	kind   constraint.Kind
 }
 
+// rowOf views a constraint as rowData. Term and coefficient slices are
+// shared with the constraint, not copied: presolve is copy-on-write (it
+// allocates fresh slices only for the rows it actually rewrites), so the
+// shared slices are treated as immutable throughout the solve.
+func rowOf(c *constraint.Constraint) rowData {
+	return rowData{terms: c.Terms, coeffs: c.Coeffs, rhs: c.RHS, label: c.Label, kind: c.Kind}
+}
+
 // systemRows extracts the system's constraints as rowData, keeping only
-// rows accepted by the filter (nil keeps everything). Term and coefficient
-// slices are shared with the system, not copied: presolve is copy-on-write
-// (it allocates fresh slices only for the rows it actually rewrites), so
-// the shared slices are treated as immutable throughout the solve.
+// rows accepted by the filter (nil keeps everything).
 func systemRows(sys *constraint.System, keep func(*constraint.Constraint) bool) []rowData {
 	rows := make([]rowData, 0, sys.Len())
 	for i := 0; i < sys.Len(); i++ {
-		c := sys.At(i)
-		if keep != nil && !keep(c) {
-			continue
+		if c := sys.At(i); keep == nil || keep(c) {
+			rows = append(rows, rowOf(c))
 		}
-		rows = append(rows, rowData{
-			terms:  c.Terms,
-			coeffs: c.Coeffs,
-			rhs:    c.RHS,
-			label:  c.Label,
-			kind:   c.Kind,
-		})
 	}
 	return rows
 }

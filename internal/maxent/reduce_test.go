@@ -1,6 +1,7 @@
 package maxent
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -67,7 +68,7 @@ func TestReduceUntouchedBucketsClosedForm(t *testing.T) {
 		var ref []float64
 		for _, kw := range kernelWorkerGrid {
 			name := fmt.Sprintf("%v/kw=%d", alg, kw)
-			sol, err := Solve(sys, Options{Algorithm: alg, Reduce: true, KernelWorkers: kw})
+			sol, err := SolveContext(context.Background(), sys, Options{Algorithm: alg, Reduce: true, Workers: kw})
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -111,7 +112,7 @@ func TestReduceAllBucketsUntouched(t *testing.T) {
 	for _, alg := range reduceGrid {
 		for _, kw := range kernelWorkerGrid {
 			name := fmt.Sprintf("%v/kw=%d", alg, kw)
-			sol, err := Solve(sys, Options{Algorithm: alg, Reduce: true, KernelWorkers: kw})
+			sol, err := SolveContext(context.Background(), sys, Options{Algorithm: alg, Reduce: true, Workers: kw})
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -144,7 +145,7 @@ func TestSchurMatchesFullDual(t *testing.T) {
 	d, selected := solveWorkload(t)
 	sys := workloadSystem(t, d, fractionalRules(t, selected))
 
-	full, err := Solve(sys, Options{Algorithm: LBFGS})
+	full, err := SolveContext(context.Background(), sys, Options{Algorithm: LBFGS})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestSchurMatchesFullDual(t *testing.T) {
 	if v := sys.MaxViolation(full.X); v > 1e-6 {
 		t.Fatalf("full solve infeasible by %g", v)
 	}
-	red, err := Solve(sys, Options{Algorithm: LBFGS, Reduce: true})
+	red, err := SolveContext(context.Background(), sys, Options{Algorithm: LBFGS, Reduce: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,14 +209,14 @@ func TestReduceComposesWithDecompose(t *testing.T) {
 	d, selected := solveWorkload(t)
 	sys := workloadSystem(t, d, fractionalRules(t, selected))
 
-	plain, err := Solve(sys, Options{Algorithm: LBFGS, Decompose: true})
+	plain, err := SolveContext(context.Background(), sys, Options{Algorithm: LBFGS, Decompose: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v := sys.MaxViolation(plain.X); v > 1e-6 {
 		t.Fatalf("plain decomposed solve infeasible by %g", v)
 	}
-	red, err := Solve(sys, Options{Algorithm: LBFGS, Decompose: true, Reduce: true, Workers: 4})
+	red, err := SolveContext(context.Background(), sys, Options{Algorithm: LBFGS, Decompose: true, Reduce: true, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,14 +245,14 @@ func TestSchurWarmStart(t *testing.T) {
 	d, selected := solveWorkload(t)
 	sys := workloadSystem(t, d, fractionalRules(t, selected))
 
-	cold, err := Solve(sys, Options{Algorithm: LBFGS, Reduce: true})
+	cold, err := SolveContext(context.Background(), sys, Options{Algorithm: LBFGS, Reduce: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !cold.Stats.Converged {
 		t.Fatalf("cold reduced solve did not converge: %s", cold.Stats)
 	}
-	warm, err := Solve(sys, Options{Algorithm: LBFGS, Reduce: true, WarmStart: cold.Duals})
+	warm, err := SolveContext(context.Background(), sys, Options{Algorithm: LBFGS, Reduce: true, WarmStart: cold.Duals})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,37 +271,5 @@ func TestSchurWarmStart(t *testing.T) {
 	}
 	if worst > 1e-8 {
 		t.Fatalf("warm-started posterior differs from cold by %g", worst)
-	}
-}
-
-// TestFastMathTolerance: FastMath composes with Reduce and with the
-// plain dual; both stay within a loose tolerance of their exact-kernel
-// counterparts (the knob reassociates sums, so bit parity is not
-// expected).
-func TestFastMathTolerance(t *testing.T) {
-	d, selected := solveWorkload(t)
-	sys := workloadSystem(t, d, fractionalRules(t, selected))
-
-	for _, reduce := range []bool{false, true} {
-		exact, err := Solve(sys, Options{Algorithm: LBFGS, Reduce: reduce})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fast, err := Solve(sys, Options{Algorithm: LBFGS, Reduce: reduce, FastMath: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v := sys.MaxViolation(fast.X); v > 1e-6 {
-			t.Fatalf("reduce=%v: FastMath solve infeasible by %g", reduce, v)
-		}
-		var worst float64
-		for id := range exact.X {
-			if diff := math.Abs(fast.X[id] - exact.X[id]); diff > worst {
-				worst = diff
-			}
-		}
-		if worst > 1e-6 {
-			t.Fatalf("reduce=%v: FastMath posterior differs by %g", reduce, worst)
-		}
 	}
 }

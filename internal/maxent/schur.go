@@ -81,7 +81,6 @@ type schurObjective struct {
 	kcols linalg.ColView // CSC view for the fused w kernel
 	krhs  []float64      // coupling right-hand sides
 	nCols int
-	fast  bool
 	run   linalg.Runner
 
 	coupIdx  []int // coupling row index → index into the presolved rows
@@ -100,7 +99,7 @@ type schurObjective struct {
 
 	// groups are the connected components of local rows under shared
 	// columns — the buckets, recovered structurally so the reduction also
-	// serves the low-level SolveConstraints path, which has no Space.
+	// serves the low-level SolveConstraintsContext path, which has no Space.
 	groups [][]int32
 
 	w, x      []float64 // w_j(ν) and x_j = scale·w_j
@@ -467,10 +466,6 @@ func (o *schurObjective) demoteIncompleteGroups() {
 // setRunner installs the block executor (shared with the component pool).
 func (o *schurObjective) setRunner(run linalg.Runner) { o.run = run }
 
-// setFastMath switches the w kernel and the gradient kernel to the
-// multi-accumulator flavours.
-func (o *schurObjective) setFastMath(fast bool) { o.fast = fast }
-
 // seedScale warm-starts one local row's scaling from a previous dual
 // (scale = e^{μ}).
 func (o *schurObjective) seedScale(li int, mu float64) {
@@ -497,11 +492,7 @@ func (o *schurObjective) Dim() int { return o.k.Rows() }
 func (o *schurObjective) computeW(nu []float64) {
 	o.forBlocks(linalg.NumBlocks(o.nCols), func(b int) {
 		lo, hi := linalg.BlockBounds(b, o.nCols)
-		if o.fast {
-			o.kcols.ExpDotsFast(nu, o.w, lo, hi)
-		} else {
-			o.kcols.ExpDots(nu, o.w, lo, hi)
-		}
+		o.kcols.ExpDots(nu, o.w, lo, hi)
 	})
 }
 
@@ -604,11 +595,7 @@ func (o *schurObjective) Eval(nu, grad []float64) float64 {
 	m := o.k.Rows()
 	o.forBlocks(linalg.NumBlocks(m), func(b int) {
 		lo, hi := linalg.BlockBounds(b, m)
-		if o.fast {
-			o.k.MulVecRangeFast(o.x, grad, lo, hi)
-		} else {
-			o.k.MulVecRange(o.x, grad, lo, hi)
-		}
+		o.k.MulVecRange(o.x, grad, lo, hi)
 		for i := lo; i < hi; i++ {
 			grad[i] -= o.krhs[i]
 		}
@@ -651,7 +638,6 @@ func (o *schurObjective) localDual(li int) float64 { return math.Log(o.scale[li]
 // sol.Duals in presolved-row order, exactly like the full dual path.
 func solveSchur(sol *Solution, obj *schurObjective, red *reduced, warm map[string]float64, opts Options, run linalg.Runner, xActive []float64) error {
 	obj.setRunner(run)
-	obj.setFastMath(opts.FastMath)
 	sol.Stats.ReducedDualDim = obj.Dim()
 
 	nu := make([]float64, obj.Dim())

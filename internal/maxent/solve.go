@@ -3,8 +3,10 @@ package maxent
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -53,7 +55,21 @@ func (a Algorithm) String() string {
 	}
 }
 
-// Options configures Solve.
+// ParseAlgorithm is the inverse of String, ignoring case; the empty name
+// selects the default, LBFGS.
+func ParseAlgorithm(name string) (Algorithm, error) {
+	if name == "" {
+		return LBFGS, nil
+	}
+	for a := LBFGS; a <= IIS; a++ {
+		if strings.EqualFold(name, a.String()) {
+			return a, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown algorithm %q (want lbfgs, gis, iis, steepest or newton)", name)
+}
+
+// Options configures SolveContext and its siblings.
 type Options struct {
 	// Algorithm picks the dual solver; default LBFGS.
 	Algorithm Algorithm
@@ -67,30 +83,24 @@ type Options struct {
 	// of Lemma 2's independence — each solved as an independent
 	// sub-problem.
 	Decompose bool
-	// Workers bounds how many components are solved concurrently when
-	// Decompose is on. The zero value means runtime.GOMAXPROCS(0);
-	// negative values (or 1) solve sequentially. Components touch
-	// disjoint variables, so parallel solves need no locking of the
-	// solution vector. The count actually used is recorded in
-	// Stats.Workers.
+	// Workers sizes the one worker pool a solve draws all its
+	// parallelism from. The zero value means runtime.GOMAXPROCS(0);
+	// negative values (or 1) solve serially. When Decompose is on, up to
+	// Workers components are solved concurrently — they touch disjoint
+	// variables, so no locking of the solution vector is needed — and
+	// the count actually used is recorded in Stats.Workers. Inside each
+	// dual solve, the fused Aᵀλ → exp → partition kernel and the blocked
+	// A·x(λ) gradient kernel shard a fixed block partition over up to
+	// Workers goroutines from the same pool, so the two levels never
+	// oversubscribe it; this keeps a solve parallel where decomposition
+	// goes idle (knowledge coupling every bucket into one component).
+	// Kernel results are bit-identical at every width (the partition and
+	// the reduction order are functions of the problem shape, never of
+	// the worker count), so Workers trades wall-clock only, never
+	// numerics. The kernel width is recorded in Stats.KernelWorkers.
+	// Only the dual algorithms (LBFGS, SteepestDescent, Newton) have
+	// data-parallel kernels; GIS and IIS run serially regardless.
 	Workers int
-	// KernelWorkers bounds the data-parallel fan-out inside a single
-	// dual solve: the fused Aᵀλ → exp → partition kernel and the blocked
-	// A·x(λ) gradient kernel shard a fixed block partition over this
-	// many goroutines, drawn from the same worker pool the component
-	// solves use, so the two levels of parallelism never oversubscribe
-	// GOMAXPROCS. This is what keeps the solve parallel in the regime
-	// where decomposition goes idle — heavy background knowledge
-	// coupling every bucket into one giant component. The zero value
-	// inherits the resolved Workers count; negative values force serial
-	// kernels. Kernel results are bit-identical at every worker count
-	// (the partition and the reduction order are functions of the
-	// problem shape, never of the worker count), so the knob trades
-	// wall-clock only, never numerics. The width actually used is
-	// recorded in Stats.KernelWorkers. Only the dual algorithms (LBFGS,
-	// SteepestDescent, Newton) have data-parallel kernels; GIS and IIS
-	// run serially regardless.
-	KernelWorkers int
 	// CaptureTrace records the full convergence trajectory — one
 	// TracePoint per optimizer iteration — into Solution.Trajectory, the
 	// raw material for solve audits. Off by default: capture allocates
@@ -128,12 +138,6 @@ type Options struct {
 	// reduced path converges to the same posterior within solver
 	// tolerance but is not bit-identical to the full dual.
 	Reduce bool
-	// FastMath switches the blocked dual kernels to four-wide independent
-	// accumulators (linalg.ExpDotsFast / MulVecRangeFast). Reassociated
-	// sums differ from the exact kernels at rounding level, so the knob
-	// is off by default and its output is gated by the accsnap tolerance
-	// cross-check rather than the bit-parity property tests.
-	FastMath bool
 }
 
 // warmMap indexes the warm-start seed by constraint label; nil when no
@@ -162,19 +166,6 @@ func (o Options) workerCount() int {
 	return w
 }
 
-// kernelWorkerCount resolves Options.KernelWorkers: zero inherits the
-// resolved component worker count, negative values mean serial kernels.
-func (o Options) kernelWorkerCount() int {
-	kw := o.KernelWorkers
-	if kw == 0 {
-		return o.workerCount()
-	}
-	if kw < 1 {
-		return 1
-	}
-	return kw
-}
-
 // chainInterrupt folds the context's cancellation into the solver's
 // Interrupt hook (in front of any caller-supplied hook), so a cancelled
 // context stops a dual solve at its next interrupt poll — the guarantee
@@ -198,17 +189,53 @@ func chainInterrupt(ctx context.Context, opts Options) Options {
 	return opts
 }
 
-// observe forwards a lifecycle event to a solve observer; nil observers
-// are a no-op, so emission sites never branch. The events mirror the
-// solve-event logger (solve.start, decompose, presolve, component.done,
-// solve.done, solve.failed) with the same attributes — the live
-// introspection layer (pmaxentd's /debug/solves and SSE streams) is fed
-// from this stream plus the per-iteration SolveIteration signal wired
-// into the solver trace chain in solveReduced.
-func observe(obs telemetry.SolveObserver, name string, attrs ...telemetry.Attr) {
-	if obs != nil {
+// emit delivers one lifecycle event (solve.start, decompose, presolve,
+// presolve.infeasible, component.done, solve.done, solve.failed) to both
+// of the context's sinks from a single attribute list: the solve-event
+// logger, at Error level for failures and Info otherwise, and the solve
+// observer that feeds the live introspection layer (pmaxentd's
+// /debug/solves and SSE streams; the per-iteration SolveIteration signal
+// is wired into the solver trace chain in solveReduced). It is the only
+// caller of either sink, so the two channels cannot drift apart.
+func emit(ctx context.Context, name string, attrs ...telemetry.Attr) {
+	level := slog.LevelInfo
+	if name == "solve.failed" || name == "presolve.infeasible" {
+		level = slog.LevelError
+	}
+	if logger := telemetry.Logger(ctx); logger.Enabled(ctx, level) {
+		args := make([]slog.Attr, len(attrs))
+		for i, a := range attrs {
+			args[i] = slog.Any(a.Key, a.Value)
+		}
+		logger.LogAttrs(ctx, level, name, args...)
+	}
+	if obs := telemetry.SolveObserverFrom(ctx); obs != nil {
 		obs.SolveEvent(name, attrs...)
 	}
+}
+
+// runSolve brackets one solve's lifecycle: it opens the span named span
+// and emits solve.start, both carrying the start attributes, then runs
+// body. A failing body closes the solve with solve.failed; otherwise
+// stats.Duration is stamped, the solve metrics are recorded
+// (totalBuckets feeds the decomposition hit-rate counters) and
+// solve.done goes out, its attributes also set on the span. Every solve
+// that starts therefore also finishes, whichever way body returns.
+func runSolve(ctx context.Context, span string, start []telemetry.Attr, stats *Stats, totalBuckets int, body func(context.Context) error) error {
+	began := time.Now()
+	ctx, sp := telemetry.Start(ctx, span, start...)
+	defer sp.End()
+	emit(ctx, "solve.start", start...)
+	if err := body(ctx); err != nil {
+		emit(ctx, "solve.failed", telemetry.String("error", err.Error()))
+		return err
+	}
+	stats.Duration = time.Since(began)
+	done := stats.attrs()
+	sp.SetAttr(done...)
+	stats.record(telemetry.Metrics(ctx), totalBuckets)
+	emit(ctx, "solve.done", done...)
+	return nil
 }
 
 // minParallelBlocks is the smallest block count worth fanning out: below
@@ -220,10 +247,10 @@ func observe(obs telemetry.SolveObserver, name string, attrs ...telemetry.Attr) 
 const minParallelBlocks = 4
 
 // kernelRunner adapts the shared worker pool into the block executor the
-// dual kernels fan out on, capped at kw concurrent participants. It
-// returns nil — serial kernels — when the width is 1.
-func kernelRunner(ctx context.Context, p *pool.Pool, kw int) linalg.Runner {
-	if p.Workers() < 2 || kw < 2 {
+// dual kernels fan out on, using up to every worker of the pool. It
+// returns nil — serial kernels — for a one-worker pool.
+func kernelRunner(ctx context.Context, p *pool.Pool) linalg.Runner {
+	if p.Workers() < 2 {
 		return nil
 	}
 	return func(n int, fn func(i int)) {
@@ -233,7 +260,7 @@ func kernelRunner(ctx context.Context, p *pool.Pool, kw int) linalg.Runner {
 			}
 			return
 		}
-		p.ParallelFor(ctx, n, kw, fn)
+		p.ParallelFor(ctx, n, 0, fn)
 	}
 }
 
@@ -302,95 +329,45 @@ func (s *Solution) Joint(t constraint.Term) float64 {
 	return s.X[id]
 }
 
-// SolveConstraints is the low-level entry point: it maximizes entropy
-// over n variables subject to the given constraints, starting the
-// bookkeeping from init (variables never mentioned by any constraint keep
-// their init value; everything else is determined by presolve or the
-// dual). It powers both the standard P(Q,S,B) model and the
-// pseudonym-expanded P(i,Q,S,B) model of Sec. 6.
-func SolveConstraints(n int, cons []constraint.Constraint, init []float64, opts Options) ([]float64, Stats, error) {
-	return SolveConstraintsContext(context.Background(), n, cons, init, opts)
-}
-
-// SolveConstraintsContext is SolveConstraints with telemetry: the
-// context's tracer receives a "maxent.solve_constraints" span and the
-// context's registry the solve metrics.
+// SolveConstraintsContext is the low-level entry point: it maximizes
+// entropy over n variables subject to the given constraints, starting
+// the bookkeeping from init (variables never mentioned by any constraint
+// keep their init value; everything else is determined by presolve or
+// the dual). It powers both the standard P(Q,S,B) model and the
+// pseudonym-expanded P(i,Q,S,B) model of Sec. 6. The caller's rows form
+// one undecomposed component; the context's tracer receives a
+// "maxent.solve_constraints" span and its registry the solve metrics.
 func SolveConstraintsContext(ctx context.Context, n int, cons []constraint.Constraint, init []float64, opts Options) ([]float64, Stats, error) {
 	if len(init) != n {
 		return nil, Stats{}, fmt.Errorf("maxent: init has %d values, want %d", len(init), n)
 	}
-	start := time.Now()
-	ctx, span := telemetry.Start(ctx, "maxent.solve_constraints",
-		telemetry.Int("variables", n),
-		telemetry.Int("constraints", len(cons)),
-		telemetry.String("algorithm", opts.Algorithm.String()))
-	defer span.End()
-	logger := telemetry.Logger(ctx)
-	obs := telemetry.SolveObserverFrom(ctx)
-	logger.Info("solve.start",
-		"algorithm", opts.Algorithm.String(),
-		"variables", n,
-		"constraints", len(cons))
-	observe(obs, "solve.start",
+	sol := &Solution{X: append([]float64(nil), init...)}
+	start := []telemetry.Attr{
 		telemetry.String("algorithm", opts.Algorithm.String()),
 		telemetry.Int("variables", n),
-		telemetry.Int("constraints", len(cons)))
-	x := make([]float64, n)
-	copy(x, init)
-
-	// Term/coeff slices are shared with the caller's constraints, not
-	// copied: presolve is copy-on-write (see systemRows).
-	rows := make([]rowData, 0, len(cons))
-	for i := range cons {
-		c := &cons[i]
-		rows = append(rows, rowData{
-			terms:  c.Terms,
-			coeffs: c.Coeffs,
-			rhs:    c.RHS,
-			label:  c.Label,
-			kind:   c.Kind,
-		})
+		telemetry.Int("constraints", len(cons)),
 	}
-	red, err := runPresolve(ctx, n, rows)
+	err := runSolve(ctx, "maxent.solve_constraints", start, &sol.Stats, 0, func(ctx context.Context) error {
+		// Term/coeff slices are shared with the caller's constraints, not
+		// copied: presolve is copy-on-write (see rowOf).
+		rows := make([]rowData, 0, len(cons))
+		for i := range cons {
+			rows = append(rows, rowOf(&cons[i]))
+		}
+		if err := solveComponents(ctx, sol, []solveComponent{{rows: rows}}, opts, false); err != nil {
+			return err
+		}
+		sol.Stats.MaxViolation = maxViolationOf(cons, sol.X)
+		return nil
+	})
 	if err != nil {
-		logger.Error("solve.failed", "error", err.Error())
-		observe(obs, "solve.failed", telemetry.String("error", err.Error()))
 		return nil, Stats{}, err
 	}
-	var stats Stats
-	stats.Workers = 1
-	stats.KernelWorkers = 1
-	for j := 0; j < red.n; j++ {
-		if red.fixed[j] {
-			x[j] = red.value[j]
-		}
-	}
-	stats.FixedVariables = red.numFixed()
-	stats.ActiveVariables = len(red.active)
+	return sol.X, sol.Stats, nil
+}
 
-	if len(red.active) > 0 {
-		kw := opts.kernelWorkerCount()
-		kp := pool.New(kw)
-		defer kp.Close()
-		opts = chainInterrupt(ctx, opts)
-		sol := &Solution{X: x}
-		if err := solveReduced(ctx, sol, red, opts.warmMap(), opts, kernelRunner(ctx, kp, kw), 0); err != nil {
-			logger.Error("solve.failed", "error", err.Error())
-			observe(obs, "solve.failed", telemetry.String("error", err.Error()))
-			return nil, Stats{}, err
-		}
-		stats.Iterations = sol.Stats.Iterations
-		stats.Evaluations = sol.Stats.Evaluations
-		stats.Converged = sol.Stats.Converged
-		stats.KernelWorkers = sol.Stats.KernelWorkers
-		stats.ReducedDualDim = sol.Stats.ReducedDualDim
-		// With no component fan-out, the kernels' width is the solve's
-		// actual parallelism.
-		stats.Workers = stats.KernelWorkers
-	} else {
-		stats.Converged = true
-	}
-
+// maxViolationOf computes the worst |residual| of a constraint list at x.
+func maxViolationOf(cons []constraint.Constraint, x []float64) float64 {
 	var worst float64
 	for i := range cons {
 		if r := cons[i].Residual(x); r > worst {
@@ -399,246 +376,142 @@ func SolveConstraintsContext(ctx context.Context, n int, cons []constraint.Const
 			worst = -r
 		}
 	}
-	stats.MaxViolation = worst
-	stats.Duration = time.Since(start)
-	span.SetAttr(
-		telemetry.Int("iterations", stats.Iterations),
-		telemetry.Int("workers", stats.Workers),
-		telemetry.Int("kernel_workers", stats.KernelWorkers),
-		telemetry.Bool("converged", stats.Converged))
-	stats.record(telemetry.Metrics(ctx), 0)
-	logger.Info("solve.done",
-		"iterations", stats.Iterations,
-		"evaluations", stats.Evaluations,
-		"converged", stats.Converged,
-		"max_violation", stats.MaxViolation,
-		"duration", stats.Duration.String())
-	observe(obs, "solve.done",
-		telemetry.Int("iterations", stats.Iterations),
-		telemetry.Int("evaluations", stats.Evaluations),
-		telemetry.Bool("converged", stats.Converged),
-		telemetry.Float("max_violation", stats.MaxViolation),
-		telemetry.String("duration", stats.Duration.String()))
-	return x, stats, nil
+	return worst
 }
 
-// Solve computes the maximum-entropy distribution subject to the system's
-// constraints. The system must contain the data invariants (and any
-// knowledge constraints); zero-invariants are implicit in the space.
-func Solve(sys *constraint.System, opts Options) (*Solution, error) {
-	return SolveContext(context.Background(), sys, opts)
-}
-
-// SolveContext is Solve with telemetry threaded through the context: a
-// "maxent.solve" span (with presolve, decomposition and per-component
-// child spans) and solve metrics in the context's registry.
+// SolveContext computes the maximum-entropy distribution subject to the
+// system's constraints. The system must contain the data invariants (and
+// any knowledge constraints); zero-invariants are implicit in the space.
+// With Decompose the components are the connected components of the
+// touched buckets (componentRows); otherwise the whole system — under
+// Reduce, only the touched buckets' rows — is one component. The
+// context's tracer receives a "maxent.solve" span (with presolve,
+// decomposition and per-component child spans) and its registry the
+// solve metrics.
 func SolveContext(ctx context.Context, sys *constraint.System, opts Options) (*Solution, error) {
-	start := time.Now()
+	return solveSystem(ctx, "maxent.solve", sys, opts, false, func(ctx context.Context, sol *Solution, touched []int) []solveComponent {
+		if opts.Decompose {
+			_, span := telemetry.Start(ctx, "maxent.decompose")
+			comps := componentRows(sys, touched)
+			attrs := sol.decomposition(len(touched), len(comps))
+			span.SetAttr(attrs...)
+			span.End()
+			emit(ctx, "decompose", attrs...)
+			return comps
+		}
+		// Without decomposition, stage 1 still applies: the invariant rows
+		// of untouched buckets drop out of the numeric system and those
+		// buckets keep the closed-form posterior sol.X was initialized with
+		// (Theorem 5). Coupling rows always survive, so the reduced system
+		// remains exactly the system the paper's dual solves over the
+		// touched buckets.
+		var keep func(*constraint.Constraint) bool
+		if sol.Stats.EliminatedBuckets > 0 {
+			touchedSet := make(map[int]bool, len(touched))
+			for _, b := range touched {
+				touchedSet[b] = true
+			}
+			sp := sys.Space()
+			keep = func(c *constraint.Constraint) bool {
+				if !isInvariant(c.Kind) || len(c.Terms) == 0 {
+					return true
+				}
+				// Invariant rows are bucket-local, so the first term names
+				// the bucket.
+				return touchedSet[sp.Term(c.Terms[0]).Bucket]
+			}
+		}
+		return []solveComponent{{rows: systemRows(sys, keep)}}
+	})
+}
+
+// solveSystem runs one equality solve of sys through the shared driver:
+// build turns the system into the component list, given the buckets some
+// coupling row touches (computed when Reduce or Decompose needs them).
+// delta marks the incremental entry point in the solve.start event.
+func solveSystem(ctx context.Context, span string, sys *constraint.System, opts Options, delta bool,
+	build func(ctx context.Context, sol *Solution, touched []int) []solveComponent) (*Solution, error) {
 	sp := sys.Space()
-	ctx, span := telemetry.Start(ctx, "maxent.solve",
+	buckets := sp.Data().NumBuckets()
+	var touched []int
+	if opts.Reduce || opts.Decompose {
+		touched = constraint.TouchedBuckets(sys)
+	}
+	sol := &Solution{space: sp, X: Uniform(sp)}
+	start := []telemetry.Attr{
 		telemetry.String("algorithm", opts.Algorithm.String()),
 		telemetry.Bool("decompose", opts.Decompose),
+	}
+	if delta {
+		start = append(start, telemetry.Bool("delta", true))
+	}
+	start = append(start,
 		telemetry.Int("variables", sp.Len()),
 		telemetry.Int("constraints", sys.Len()))
-	defer span.End()
-	reg := telemetry.Metrics(ctx)
-	logger := telemetry.Logger(ctx)
-	obs := telemetry.SolveObserverFrom(ctx)
-	// Structural presolve stage 1 (Options.Reduce): find the buckets
-	// touched by any coupling row. It runs before the solve.start emission
-	// so the live introspection layer sees the eliminated-bucket count
-	// while the numeric solve is still in flight.
-	var touched []int
-	eliminated := 0
 	if opts.Reduce {
-		touched = constraint.TouchedBuckets(sys)
-		eliminated = sp.Data().NumBuckets() - len(touched)
+		// Structural presolve stage 1: announced with solve.start, so the
+		// live introspection layer sees the eliminated-bucket count while
+		// the numeric solve is still in flight.
+		sol.Stats.EliminatedBuckets = buckets - len(touched)
+		start = append(start, telemetry.Int("eliminated_buckets", sol.Stats.EliminatedBuckets))
 	}
-	logger.Info("solve.start",
-		"algorithm", opts.Algorithm.String(),
-		"decompose", opts.Decompose,
-		"variables", sp.Len(),
-		"constraints", sys.Len())
-	startAttrs := []telemetry.Attr{
-		telemetry.String("algorithm", opts.Algorithm.String()),
-		telemetry.Bool("decompose", opts.Decompose),
-		telemetry.Int("variables", sp.Len()),
-		telemetry.Int("constraints", sys.Len()),
-	}
-	if opts.Reduce {
-		startAttrs = append(startAttrs, telemetry.Int("eliminated_buckets", eliminated))
-	}
-	observe(obs, "solve.start", startAttrs...)
-	sol := &Solution{space: sp, X: Uniform(sp)}
-	sol.Stats.Workers = 1
-	sol.Stats.KernelWorkers = 1
-	sol.Stats.EliminatedBuckets = eliminated
-
-	finish := func() {
+	err := runSolve(ctx, span, start, &sol.Stats, buckets, func(ctx context.Context) error {
+		if err := solveComponents(ctx, sol, build(ctx, sol, touched), opts, opts.Decompose); err != nil {
+			return err
+		}
 		sol.Stats.MaxViolation = sys.MaxViolation(sol.X)
-		sol.Stats.Duration = time.Since(start)
-		span.SetAttr(
-			telemetry.Int("iterations", sol.Stats.Iterations),
-			telemetry.Int("components", sol.Stats.Components),
-			telemetry.Int("workers", sol.Stats.Workers),
-			telemetry.Int("kernel_workers", sol.Stats.KernelWorkers),
-			telemetry.Bool("converged", sol.Stats.Converged))
-		sol.Stats.record(reg, sp.Data().NumBuckets())
-		logger.Info("solve.done",
-			"iterations", sol.Stats.Iterations,
-			"evaluations", sol.Stats.Evaluations,
-			"components", sol.Stats.Components,
-			"workers", sol.Stats.Workers,
-			"kernel_workers", sol.Stats.KernelWorkers,
-			"reduced_dual_dim", sol.Stats.ReducedDualDim,
-			"eliminated_buckets", sol.Stats.EliminatedBuckets,
-			"converged", sol.Stats.Converged,
-			"max_violation", sol.Stats.MaxViolation,
-			"duration", sol.Stats.Duration.String())
-		observe(obs, "solve.done",
-			telemetry.Int("iterations", sol.Stats.Iterations),
-			telemetry.Int("evaluations", sol.Stats.Evaluations),
-			telemetry.Int("components", sol.Stats.Components),
-			telemetry.Int("reduced_dual_dim", sol.Stats.ReducedDualDim),
-			telemetry.Int("eliminated_buckets", sol.Stats.EliminatedBuckets),
-			telemetry.Bool("converged", sol.Stats.Converged),
-			telemetry.Float("max_violation", sol.Stats.MaxViolation),
-			telemetry.String("duration", sol.Stats.Duration.String()))
-	}
-
-	if opts.Decompose {
-		_, dspan := telemetry.Start(ctx, "maxent.decompose")
-		// TouchedBuckets generalizes Definition 5.6's relevant set to every
-		// coupling kind (knowledge and individual rows); for the
-		// knowledge-only systems Solve historically saw, the two sets are
-		// identical.
-		relevant := constraint.TouchedBuckets(sys)
-		sol.Stats.IrrelevantBuckets = sp.Data().NumBuckets() - len(relevant)
-		if len(relevant) == 0 {
-			dspan.SetAttr(telemetry.Int("relevant_buckets", 0))
-			dspan.End()
-			observe(obs, "decompose",
-				telemetry.Int("relevant_buckets", 0),
-				telemetry.Int("irrelevant_buckets", sol.Stats.IrrelevantBuckets),
-				telemetry.Int("components", 0))
-			// No knowledge at all: the closed form is exact (Theorem 4).
-			sol.Stats.Converged = true
-			finish()
-			return sol, nil
-		}
-		components := componentRows(sys, relevant)
-		dspan.SetAttr(
-			telemetry.Int("relevant_buckets", len(relevant)),
-			telemetry.Int("irrelevant_buckets", sol.Stats.IrrelevantBuckets),
-			telemetry.Int("components", len(components)))
-		dspan.End()
-		observe(obs, "decompose",
-			telemetry.Int("relevant_buckets", len(relevant)),
-			telemetry.Int("irrelevant_buckets", sol.Stats.IrrelevantBuckets),
-			telemetry.Int("components", len(components)))
-		sol.Stats.Components = len(components)
-		sol.Stats.Converged = true
-		comps := make([]solveComponent, len(components))
-		for i, rows := range components {
-			comps[i] = solveComponent{rows: rows}
-		}
-		if err := solveComponents(ctx, sol, comps, opts); err != nil {
-			logger.Error("solve.failed", "error", err.Error())
-			observe(obs, "solve.failed", telemetry.String("error", err.Error()))
-			return nil, err
-		}
-		finish()
-		return sol, nil
-	}
-
-	// Without decomposition, stage 1 still applies: the invariant rows of
-	// untouched buckets drop out of the numeric system and those buckets
-	// keep the closed-form posterior sol.X was initialized with (Theorem
-	// 5). Coupling rows always survive, so the reduced system remains
-	// exactly the system the paper's dual solves over the touched buckets.
-	var keep func(*constraint.Constraint) bool
-	if opts.Reduce && eliminated > 0 {
-		touchedSet := make(map[int]bool, len(touched))
-		for _, b := range touched {
-			touchedSet[b] = true
-		}
-		keep = func(c *constraint.Constraint) bool {
-			if c.Kind != constraint.QIInvariant && c.Kind != constraint.SAInvariant {
-				return true
-			}
-			if len(c.Terms) == 0 {
-				return true
-			}
-			// Invariant rows are bucket-local, so the first term names the
-			// bucket.
-			return touchedSet[sp.Term(c.Terms[0]).Bucket]
-		}
-	}
-	red, err := runPresolve(ctx, sp.Len(), systemRows(sys, keep))
+		return nil
+	})
 	if err != nil {
-		logger.Error("solve.failed", "error", err.Error())
-		observe(obs, "solve.failed", telemetry.String("error", err.Error()))
 		return nil, err
 	}
-	for j := 0; j < red.n; j++ {
-		if red.fixed[j] {
-			sol.X[j] = red.value[j]
-		}
-	}
-	sol.Stats.FixedVariables = red.numFixed()
-	sol.Stats.ActiveVariables = len(red.active)
-
-	if len(red.active) > 0 {
-		kw := opts.kernelWorkerCount()
-		kp := pool.New(kw)
-		defer kp.Close()
-		opts = chainInterrupt(ctx, opts)
-		if err := solveReduced(ctx, sol, red, opts.warmMap(), opts, kernelRunner(ctx, kp, kw), 0); err != nil {
-			logger.Error("solve.failed", "error", err.Error())
-			observe(obs, "solve.failed", telemetry.String("error", err.Error()))
-			return nil, err
-		}
-		// A non-decomposed solve has no component fan-out, so its actual
-		// parallelism is the kernels' width — this used to hard-code 1
-		// even when the kernels ran in parallel.
-		sol.Stats.Workers = sol.Stats.KernelWorkers
-	} else {
-		sol.Stats.Converged = true
-	}
-
-	finish()
 	return sol, nil
+}
+
+// decomposition records a decomposition's split of the buckets — relevant
+// ones (Definition 5.6, generalized by TouchedBuckets to every coupling
+// kind) into components, the rest closed-form — and returns the
+// attributes of its decompose event.
+func (s *Solution) decomposition(relevant, components int) []telemetry.Attr {
+	s.Stats.IrrelevantBuckets = s.space.Data().NumBuckets() - relevant
+	return []telemetry.Attr{
+		telemetry.Int("relevant_buckets", relevant),
+		telemetry.Int("irrelevant_buckets", s.Stats.IrrelevantBuckets),
+		telemetry.Int("components", components),
+	}
 }
 
 // runPresolve wraps presolve in a "maxent.presolve" span.
 func runPresolve(ctx context.Context, n int, rows []rowData) (*reduced, error) {
 	_, span := telemetry.Start(ctx, "maxent.presolve", telemetry.Int("rows", len(rows)))
+	defer span.End()
 	red, err := presolve(n, rows)
-	obs := telemetry.SolveObserverFrom(ctx)
-	if err == nil {
-		span.SetAttr(
-			telemetry.Int("fixed", red.numFixed()),
-			telemetry.Int("active", len(red.active)))
-		telemetry.Logger(ctx).Info("presolve",
-			"rows", len(rows), "fixed", red.numFixed(), "active", len(red.active))
-		observe(obs, "presolve",
-			telemetry.Int("rows", len(rows)),
-			telemetry.Int("fixed", red.numFixed()),
-			telemetry.Int("active", len(red.active)))
-	} else {
-		telemetry.Logger(ctx).Error("presolve.infeasible", "error", err.Error())
-		observe(obs, "presolve.infeasible", telemetry.String("error", err.Error()))
+	if err != nil {
+		emit(ctx, "presolve.infeasible", telemetry.String("error", err.Error()))
+		return nil, err
 	}
-	span.End()
-	return red, err
+	span.SetAttr(
+		telemetry.Int("fixed", red.numFixed()),
+		telemetry.Int("active", len(red.active)))
+	emit(ctx, "presolve",
+		telemetry.Int("rows", len(rows)),
+		telemetry.Int("fixed", red.numFixed()),
+		telemetry.Int("active", len(red.active)))
+	return red, nil
+}
+
+// isInvariant reports whether a row kind is a bucket-local data
+// invariant; every other kind is a coupling row that may link buckets.
+func isInvariant(k constraint.Kind) bool {
+	return k == constraint.QIInvariant || k == constraint.SAInvariant
 }
 
 // componentRows groups the relevant buckets into connected components:
-// every coupling constraint — any row that is not a bucket-local QI/SA
-// invariant — links all the buckets it touches (union by rank would be
-// overkill at these sizes; plain union-find with path compression). Each
-// component receives its buckets' data invariants and its coupling rows.
-func componentRows(sys *constraint.System, relevant []int) [][]rowData {
+// every coupling constraint links all the buckets it touches (union by
+// rank would be overkill at these sizes; plain union-find with path
+// compression). Each component receives its buckets' data invariants and
+// its coupling rows.
+func componentRows(sys *constraint.System, relevant []int) []solveComponent {
 	sp := sys.Space()
 	parent := make(map[int]int, len(relevant))
 	for _, b := range relevant {
@@ -653,12 +526,9 @@ func componentRows(sys *constraint.System, relevant []int) [][]rowData {
 	}
 	union := func(a, b int) { parent[find(a)] = find(b) }
 
-	coupling := func(k constraint.Kind) bool {
-		return k != constraint.QIInvariant && k != constraint.SAInvariant
-	}
 	for i := 0; i < sys.Len(); i++ {
 		c := sys.At(i)
-		if !coupling(c.Kind) || len(c.Terms) == 0 {
+		if isInvariant(c.Kind) || len(c.Terms) == 0 {
 			continue
 		}
 		first := sp.Term(c.Terms[0]).Bucket
@@ -672,15 +542,6 @@ func componentRows(sys *constraint.System, relevant []int) [][]rowData {
 	// shared storage stays untouched even when components are solved
 	// concurrently.
 	rowsByRoot := map[int][]rowData{}
-	addRow := func(root int, c *constraint.Constraint) {
-		rowsByRoot[root] = append(rowsByRoot[root], rowData{
-			terms:  c.Terms,
-			coeffs: c.Coeffs,
-			rhs:    c.RHS,
-			label:  c.Label,
-			kind:   c.Kind,
-		})
-	}
 	relevantSet := make(map[int]bool, len(relevant))
 	for _, b := range relevant {
 		relevantSet[b] = true
@@ -691,23 +552,20 @@ func componentRows(sys *constraint.System, relevant []int) [][]rowData {
 			continue
 		}
 		b := sp.Term(c.Terms[0]).Bucket
-		if coupling(c.Kind) {
-			addRow(find(b), c)
-			continue
-		}
-		if relevantSet[b] {
-			addRow(find(b), c)
+		if !isInvariant(c.Kind) || relevantSet[b] {
+			root := find(b)
+			rowsByRoot[root] = append(rowsByRoot[root], rowOf(c))
 		}
 	}
-	out := make([][]rowData, 0, len(rowsByRoot))
 	// Deterministic order: ascending root bucket.
 	roots := make([]int, 0, len(rowsByRoot))
 	for r := range rowsByRoot {
 		roots = append(roots, r)
 	}
 	sort.Ints(roots)
-	for _, r := range roots {
-		out = append(out, rowsByRoot[r])
+	out := make([]solveComponent, len(roots))
+	for i, r := range roots {
+		out[i] = solveComponent{rows: rowsByRoot[r]}
 	}
 	return out
 }
@@ -734,13 +592,21 @@ type componentReuse struct {
 	duals   []ConstraintDual
 }
 
-// solveComponents presolves and solves each component, sequentially or
-// with up to Options.workerCount() goroutines (Workers zero means
-// GOMAXPROCS). Components write disjoint slices of sol.X; the stats are
-// merged under a mutex. Each component gets its own
-// "maxent.solve.component" span, so traces show the parallel loop.
-// Components carrying a reuse record skip the numeric solve entirely and
-// copy their baseline slice instead (delta solves, zero iterations).
+// solveComponents is the one driver behind every equality solve: it
+// presolves and solves each component, sequentially or with up to
+// Options.workerCount() goroutines (Workers zero means GOMAXPROCS), and
+// fills sol's X, Duals, Trajectory and Stats. Components write disjoint
+// slices of sol.X; the stats are merged under a mutex. Components
+// carrying a reuse record skip the numeric solve entirely and copy their
+// baseline slice instead (delta solves, zero iterations).
+//
+// decomposed marks a list produced by splitting the system: each
+// component then gets its own "maxent.solve.component" span and
+// component.done event, Stats.Components counts the list and
+// Stats.Workers the component fan-out. An undecomposed list is a single
+// component solved directly under the caller's span, Stats.Components
+// stays 0 and Stats.Workers reports the kernel width — the solve's
+// actual parallelism.
 //
 // The first component to fail cancels the run: in-flight siblings are
 // stopped via the solver's Interrupt hook (chained with any
@@ -748,17 +614,20 @@ type componentReuse struct {
 // error reported is the original failure, never a sibling's
 // solver.ErrInterrupted — the failing component records its error before
 // cancelling, so interrupted siblings always find firstErr already set.
-func solveComponents(ctx context.Context, sol *Solution, components []solveComponent, opts Options) error {
-	n := sol.space.Len()
+func solveComponents(ctx context.Context, sol *Solution, components []solveComponent, opts Options, decomposed bool) error {
+	n := len(sol.X)
 	workers := opts.workerCount()
-	if len(components) < workers {
-		workers = len(components)
+	fanOut := min(workers, max(len(components), 1))
+	sol.Stats.Workers = 1
+	sol.Stats.KernelWorkers = 1
+	sol.Stats.Converged = true
+	if decomposed {
+		sol.Stats.Components = len(components)
+		sol.Stats.Workers = fanOut
 	}
-	if workers < 1 {
-		workers = 1
+	if len(components) == 0 {
+		return nil // nothing touched: the closed form is exact (Theorem 4)
 	}
-	sol.Stats.Workers = workers
-	kw := opts.kernelWorkerCount()
 	reg := telemetry.Metrics(ctx)
 	warm := opts.warmMap()
 
@@ -774,11 +643,7 @@ func solveComponents(ctx context.Context, sol *Solution, components []solveCompo
 	// large components leave workers idle at the component level for the
 	// kernels to pick up; many small components keep the pool busy at the
 	// component level and the kernels run serially.
-	size := workers
-	if kw > size {
-		size = kw
-	}
-	p := pool.New(size)
+	p := pool.New(workers)
 	defer p.Close()
 
 	// Duals and trajectories are collected per component and flattened in
@@ -809,13 +674,7 @@ func solveComponents(ctx context.Context, sol *Solution, components []solveCompo
 			}
 			span.SetAttr(telemetry.Int("terms", terms))
 			span.End()
-			telemetry.Logger(ctx).Info("component.done",
-				"component", ci,
-				"active", 0,
-				"iterations", 0,
-				"converged", true,
-				"reused", true)
-			observe(telemetry.SolveObserverFrom(ctx), "component.done",
+			emit(ctx, "component.done",
 				telemetry.Int("component", ci),
 				telemetry.Int("active", 0),
 				telemetry.Int("iterations", 0),
@@ -827,11 +686,14 @@ func solveComponents(ctx context.Context, sol *Solution, components []solveCompo
 			mu.Unlock()
 			return
 		}
-		rows := comp.rows
-		cctx, span := telemetry.Start(cancelCtx, "maxent.solve.component",
-			telemetry.Int("component", ci),
-			telemetry.Int("rows", len(rows)))
-		red, err := runPresolve(cctx, n, rows)
+		cctx := cancelCtx
+		var span *telemetry.Span
+		if decomposed {
+			cctx, span = telemetry.Start(cancelCtx, "maxent.solve.component",
+				telemetry.Int("component", ci),
+				telemetry.Int("rows", len(comp.rows)))
+		}
+		red, err := runPresolve(cctx, n, comp.rows)
 		var local Stats
 		var duals []ConstraintDual
 		var traj []TracePoint
@@ -839,13 +701,15 @@ func solveComponents(ctx context.Context, sol *Solution, components []solveCompo
 			local.FixedVariables = red.numFixed()
 			local.ActiveVariables = len(red.active)
 			local.Converged = true
-			reg.Histogram("pmaxent_component_active_variables", telemetry.CountBuckets).
-				Observe(float64(len(red.active)))
+			if decomposed {
+				reg.Histogram("pmaxent_component_active_variables", telemetry.CountBuckets).
+					Observe(float64(len(red.active)))
+			}
 			if len(red.active) > 0 {
 				// solveReduced mutates only this component's entries of
 				// sol.X (disjoint across components) and local stats.
 				ls := &Solution{X: sol.X}
-				err = solveReduced(cctx, ls, red, warm, opts, kernelRunner(cctx, p, kw), ci)
+				err = solveReduced(cctx, ls, red, warm, opts, kernelRunner(cctx, p), ci)
 				if err == nil && comp.dirty && !ls.Stats.Converged && len(warm) > 0 && cancelCtx.Err() == nil {
 					// A stale baseline dual can steer the line search into a
 					// stall the cold path avoids. The warm start is a pure
@@ -853,7 +717,7 @@ func solveComponents(ctx context.Context, sol *Solution, components []solveCompo
 					// scratch and keep the retry's result, charging both
 					// attempts' work to the component.
 					retry := &Solution{X: sol.X}
-					if err = solveReduced(cctx, retry, red, nil, opts, kernelRunner(cctx, p, kw), ci); err == nil {
+					if err = solveReduced(cctx, retry, red, nil, opts, kernelRunner(cctx, p), ci); err == nil {
 						retry.Stats.Iterations += ls.Stats.Iterations
 						retry.Stats.Evaluations += ls.Stats.Evaluations
 						ls = retry
@@ -878,22 +742,19 @@ func solveComponents(ctx context.Context, sol *Solution, components []solveCompo
 				}
 			}
 		}
-		span.SetAttr(
-			telemetry.Int("active", local.ActiveVariables),
-			telemetry.Int("iterations", local.Iterations),
-			telemetry.Bool("converged", local.Converged))
-		span.End()
-		if err == nil {
-			telemetry.Logger(ctx).Info("component.done",
-				"component", ci,
-				"active", local.ActiveVariables,
-				"iterations", local.Iterations,
-				"converged", local.Converged)
-			observe(telemetry.SolveObserverFrom(ctx), "component.done",
-				telemetry.Int("component", ci),
+		if decomposed {
+			span.SetAttr(
 				telemetry.Int("active", local.ActiveVariables),
 				telemetry.Int("iterations", local.Iterations),
 				telemetry.Bool("converged", local.Converged))
+			span.End()
+			if err == nil {
+				emit(ctx, "component.done",
+					telemetry.Int("component", ci),
+					telemetry.Int("active", local.ActiveVariables),
+					telemetry.Int("iterations", local.Iterations),
+					telemetry.Bool("converged", local.Converged))
+			}
 		}
 		if comp.dirty {
 			local.DirtyComponents = 1
@@ -915,12 +776,11 @@ func solveComponents(ctx context.Context, sol *Solution, components []solveCompo
 		}
 	}
 
-	// The component fan-out is capped at the resolved component worker
-	// count even when the pool is larger (sized for the kernels); the
-	// failure path cancels cancelCtx, which both stops ParallelFor from
-	// starting further components and interrupts in-flight sibling
-	// solves.
-	p.ParallelFor(cancelCtx, len(components), workers, func(ci int) {
+	// The component fan-out is capped at fanOut even though the pool is
+	// sized for the kernels; the failure path cancels cancelCtx, which
+	// both stops ParallelFor from starting further components and
+	// interrupts in-flight sibling solves.
+	p.ParallelFor(cancelCtx, len(components), fanOut, func(ci int) {
 		run(ci, components[ci])
 	})
 	if firstErr != nil {
@@ -931,6 +791,9 @@ func solveComponents(ctx context.Context, sol *Solution, components []solveCompo
 	// would hand back a partially solved X as if it were complete.
 	if ctx.Err() != nil {
 		return fmt.Errorf("maxent: solve canceled: %w", solver.ErrInterrupted)
+	}
+	if !decomposed {
+		sol.Stats.Workers = sol.Stats.KernelWorkers
 	}
 	for _, ds := range dualsByComp {
 		sol.Duals = append(sol.Duals, ds...)
@@ -1042,7 +905,7 @@ func solveReduced(ctx context.Context, sol *Solution, red *reduced, warm map[str
 	case LBFGS, SteepestDescent, Newton:
 		sol.Stats.KernelWorkers = 1
 		if run != nil {
-			sol.Stats.KernelWorkers = opts.kernelWorkerCount()
+			sol.Stats.KernelWorkers = opts.workerCount()
 		}
 		// Structural presolve stage 2: for the gradient algorithms,
 		// eliminate the bucket-local invariant rows analytically and run
@@ -1076,7 +939,6 @@ func solveReduced(ctx context.Context, sol *Solution, red *reduced, warm map[str
 		}
 		obj := newDualObjective(a, rhs)
 		obj.setRunner(run)
-		obj.setFastMath(opts.FastMath)
 		defer obj.release()
 		sol.Stats.ReducedDualDim = a.Rows()
 		lambda0 := make([]float64, a.Rows())

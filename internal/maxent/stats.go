@@ -40,7 +40,7 @@ type Stats struct {
 	// KernelWorkers is the data-parallel width of the dual kernels — the
 	// fused Aᵀλ → exp → partition pass and the blocked gradient pass —
 	// inside a single (component) solve. 1 when the kernels ran serially
-	// or the algorithm has none (GIS/IIS); see Options.KernelWorkers.
+	// or the algorithm has none (GIS/IIS); see Options.Workers.
 	KernelWorkers int
 	// ReducedDualDim is the dimension of the dual problem the numeric
 	// optimizer actually ran on, summed over components. Without
@@ -54,7 +54,7 @@ type Stats struct {
 	// (Definition 5.6, Theorem 5), detected on the assembled system.
 	EliminatedBuckets int
 	// ReusedComponents counts decomposition components a delta solve
-	// (SolveDelta) carried over verbatim from its baseline — identical
+	// (SolveDeltaContext) carried over verbatim from its baseline — identical
 	// rows, so the converged posterior slice and duals transfer with
 	// zero iterations. Always 0 for cold solves.
 	ReusedComponents int
@@ -122,6 +122,25 @@ func (s *Stats) Merge(o Stats) {
 	}
 	if o.KernelWorkers > s.KernelWorkers {
 		s.KernelWorkers = o.KernelWorkers
+	}
+}
+
+// attrs is the solve.done attribute list: the one record a finished
+// solve hands to the solve-event logger, the solve observer and its span.
+func (s Stats) attrs() []telemetry.Attr {
+	return []telemetry.Attr{
+		telemetry.Int("iterations", s.Iterations),
+		telemetry.Int("evaluations", s.Evaluations),
+		telemetry.Int("components", s.Components),
+		telemetry.Int("workers", s.Workers),
+		telemetry.Int("kernel_workers", s.KernelWorkers),
+		telemetry.Int("reduced_dual_dim", s.ReducedDualDim),
+		telemetry.Int("eliminated_buckets", s.EliminatedBuckets),
+		telemetry.Int("reused_components", s.ReusedComponents),
+		telemetry.Int("dirty_components", s.DirtyComponents),
+		telemetry.Bool("converged", s.Converged),
+		telemetry.Float("max_violation", s.MaxViolation),
+		telemetry.String("duration", s.Duration.String()),
 	}
 }
 

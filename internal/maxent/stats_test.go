@@ -106,7 +106,7 @@ func workloadSystem(t testing.TB, d *bucket.Bucketized, selected []assoc.Rule) *
 func TestSolveRecordsWorkers(t *testing.T) {
 	d, selected := solveWorkload(t)
 	sys := workloadSystem(t, d, selected)
-	sol, err := Solve(sys, Options{Decompose: true}) // Workers zero → GOMAXPROCS
+	sol, err := SolveContext(context.Background(), sys, Options{Decompose: true}) // Workers zero → GOMAXPROCS
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestSolveRecordsWorkers(t *testing.T) {
 			sol.Stats.Workers, want, sol.Stats.Components)
 	}
 	// Sequential path records 1.
-	seq, err := Solve(sys, Options{Decompose: true, Workers: -1})
+	seq, err := SolveContext(context.Background(), sys, Options{Decompose: true, Workers: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package maxent
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -21,7 +22,7 @@ func TestTrajectoryParityAcrossAlgorithms(t *testing.T) {
 		if err := constraint.AddKnowledge(sys, knowledgeFor(tbl, d, 2, s3, 0.5)); err != nil {
 			t.Fatal(err)
 		}
-		sol, err := Solve(sys, Options{
+		sol, err := SolveContext(context.Background(), sys, Options{
 			Algorithm:    alg,
 			CaptureTrace: true,
 			Solver:       solver.Options{MaxIterations: 20000, GradTol: 1e-10},
@@ -69,7 +70,7 @@ func TestTrajectoryOffByDefault(t *testing.T) {
 	if err := constraint.AddKnowledge(sys, knowledgeFor(tbl, d, 2, s3, 0.5)); err != nil {
 		t.Fatal(err)
 	}
-	sol, err := Solve(sys, Options{})
+	sol, err := SolveContext(context.Background(), sys, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestTrajectoryOffByDefault(t *testing.T) {
 func TestTrajectoryDecomposedComponents(t *testing.T) {
 	d, selected := solveWorkload(t)
 	sys := workloadSystem(t, d, selected)
-	sol, err := Solve(sys, Options{Decompose: true, CaptureTrace: true})
+	sol, err := SolveContext(context.Background(), sys, Options{Decompose: true, CaptureTrace: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,7 +82,7 @@ func maxAbsDiff(a, b []float64) float64 {
 func TestWarmStartSameProblemSkipsWork(t *testing.T) {
 	w := newWorkload(t, 7)
 	opts := Options{Solver: solver.Options{GradTol: 1e-8}}
-	cold, err := Solve(w.system(t, w.ks), opts)
+	cold, err := SolveContext(context.Background(), w.system(t, w.ks), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestWarmStartSameProblemSkipsWork(t *testing.T) {
 	}
 	warmOpts := opts
 	warmOpts.WarmStart = cold.Duals
-	warm, err := Solve(w.system(t, w.ks), warmOpts)
+	warm, err := SolveContext(context.Background(), w.system(t, w.ks), warmOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestWarmStartNeighborFewerIterations(t *testing.T) {
 		t.Fatalf("workload has only %d knowledge statements", len(w.ks))
 	}
 	opts := Options{Decompose: true, Solver: solver.Options{GradTol: 1e-8}}
-	prev, err := Solve(w.system(t, w.ks[:len(w.ks)-1]), opts)
+	prev, err := SolveContext(context.Background(), w.system(t, w.ks[:len(w.ks)-1]), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,13 +130,13 @@ func TestWarmStartNeighborFewerIterations(t *testing.T) {
 		t.Fatal("decomposed solve exposed no duals")
 	}
 
-	cold, err := Solve(w.system(t, w.ks), opts)
+	cold, err := SolveContext(context.Background(), w.system(t, w.ks), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	warmOpts := opts
 	warmOpts.WarmStart = prev.Duals
-	warm, err := Solve(w.system(t, w.ks), warmOpts)
+	warm, err := SolveContext(context.Background(), w.system(t, w.ks), warmOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestWarmStartNeighborFewerIterations(t *testing.T) {
 func TestWarmStartStaleSeedSafe(t *testing.T) {
 	w := newWorkload(t, 13)
 	opts := Options{Solver: solver.Options{GradTol: 1e-8}}
-	cold, err := Solve(w.system(t, w.ks), opts)
+	cold, err := SolveContext(context.Background(), w.system(t, w.ks), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestWarmStartStaleSeedSafe(t *testing.T) {
 	}
 	warmOpts := opts
 	warmOpts.WarmStart = seed
-	warm, err := Solve(w.system(t, w.ks), warmOpts)
+	warm, err := SolveContext(context.Background(), w.system(t, w.ks), warmOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,11 +183,11 @@ func TestWarmStartStaleSeedSafe(t *testing.T) {
 // ignore the seed (they expose no duals in the same normalization).
 func TestWarmStartIgnoredByScaling(t *testing.T) {
 	_, _, _, sys := paperSystem(t)
-	plain, err := Solve(sys, Options{Algorithm: GIS})
+	plain, err := SolveContext(context.Background(), sys, Options{Algorithm: GIS})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seeded, err := Solve(sys, Options{Algorithm: GIS, WarmStart: []ConstraintDual{{Label: "junk", Lambda: 99}}})
+	seeded, err := SolveContext(context.Background(), sys, Options{Algorithm: GIS, WarmStart: []ConstraintDual{{Label: "junk", Lambda: 99}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,14 +202,14 @@ func TestWarmStartIgnoredByScaling(t *testing.T) {
 func TestDecomposedDualsDeterministic(t *testing.T) {
 	w := newWorkload(t, 21)
 	opts := Options{Decompose: true, Workers: 4, Solver: solver.Options{GradTol: 1e-9}}
-	first, err := Solve(w.system(t, w.ks), opts)
+	first, err := SolveContext(context.Background(), w.system(t, w.ks), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(first.Duals) == 0 {
 		t.Fatal("no duals from decomposed solve")
 	}
-	second, err := Solve(w.system(t, w.ks), opts)
+	second, err := SolveContext(context.Background(), w.system(t, w.ks), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +348,7 @@ func TestComponentFailureCancelsSiblings(t *testing.T) {
 func TestPooledScratchRace(t *testing.T) {
 	w := newWorkload(t, 5)
 	opts := Options{Decompose: true, Workers: 2, Solver: solver.Options{GradTol: 1e-9}}
-	ref, err := Solve(w.system(t, w.ks), opts)
+	ref, err := SolveContext(context.Background(), w.system(t, w.ks), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +367,7 @@ func TestPooledScratchRace(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for _, sys := range systems[g] {
-				sol, err := Solve(sys, opts)
+				sol, err := SolveContext(context.Background(), sys, opts)
 				if err != nil {
 					errs[g] = err
 					return

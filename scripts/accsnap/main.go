@@ -11,12 +11,12 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
 	"os"
 	"reflect"
-	"strconv"
 
 	"privacymaxent/internal/assoc"
 	"privacymaxent/internal/constraint"
@@ -32,20 +32,10 @@ func die(err error) {
 	}
 }
 
-// setIntField assigns an int field by name when the struct has it. Like
+// setBoolField assigns a bool field by name when the struct has it. Like
 // the Converged reflection below, this keeps the source compiling in
-// baseline checkouts that predate the field: kernel-worker A/B runs set
-// PMAXENT_KERNEL_WORKERS per tree, and a tree without the knob simply
-// ignores it.
-func setIntField(ptr any, name string, val int) {
-	f := reflect.ValueOf(ptr).Elem().FieldByName(name)
-	if f.IsValid() && f.CanSet() && f.Kind() == reflect.Int {
-		f.SetInt(int64(val))
-	}
-}
-
-// setBoolField is setIntField's bool counterpart, for the Reduce and
-// FastMath knobs (PMAXENT_REDUCE / PMAXENT_FAST_MATH per tree).
+// baseline checkouts that predate the field: the Reduce knob is set per
+// tree through PMAXENT_REDUCE, and a tree without it simply ignores it.
 func setBoolField(ptr any, name string, val bool) {
 	f := reflect.ValueOf(ptr).Elem().FieldByName(name)
 	if f.IsValid() && f.CanSet() && f.Kind() == reflect.Bool {
@@ -55,16 +45,17 @@ func setBoolField(ptr any, name string, val bool) {
 
 // deltaParity is the PMAXENT_DELTA cross-check: solve the
 // BenchmarkDeltaResolve workload (invariants + Top-(25,25), top rule
-// held out of the baseline) both cold and through maxent.SolveDelta, and
+// held out of the baseline) both cold and through maxent.SolveDeltaContext, and
 // fail unless the delta path actually reused components and its
 // posterior scores match the cold solve to within solver tolerance. The
 // returned map is merged into the snapshot for the record; the emitted
 // headline numbers stay cold-path either way, so the A/B harness's
-// seed-vs-head comparison is unaffected. (Direct SolveDelta use means
-// this file no longer compiles in pre-delta checkouts; the benchab
+// seed-vs-head comparison is unaffected. (Direct SolveDeltaContext use
+// means this file no longer compiles in pre-delta checkouts; the benchab
 // cross-tree copy is only taken for same-repo env A/Bs here, which share
 // one tree.)
 func deltaParity(in *experiments.Instance, opts maxent.Options) (map[string]any, error) {
+	ctx := context.Background()
 	sp := constraint.NewSpace(in.Data)
 	selected := assoc.TopK(in.Rules, 25, 25)
 	base := constraint.DataInvariants(sp, constraint.InvariantOptions{DropRedundant: true})
@@ -80,7 +71,7 @@ func deltaParity(in *experiments.Instance, opts maxent.Options) (map[string]any,
 	}
 	opts.Decompose = true
 	opts.Solver.MaxIterations = 5000
-	baseline, err := maxent.Solve(base, opts)
+	baseline, err := maxent.SolveContext(ctx, base, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -96,11 +87,11 @@ func deltaParity(in *experiments.Instance, opts maxent.Options) (map[string]any,
 	if err := full.Add(c); err != nil {
 		return nil, err
 	}
-	cold, err := maxent.Solve(full, opts)
+	cold, err := maxent.SolveContext(ctx, full, opts)
 	if err != nil {
 		return nil, err
 	}
-	delta, err := maxent.SolveDelta(full, &maxent.Baseline{Sys: base, Sol: baseline}, opts)
+	delta, err := maxent.SolveDeltaContext(ctx, full, &maxent.Baseline{Sys: base, Sol: baseline}, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -133,15 +124,11 @@ func deltaParity(in *experiments.Instance, opts maxent.Options) (map[string]any,
 }
 
 func main() {
-	kernelWorkers, _ := strconv.Atoi(os.Getenv("PMAXENT_KERNEL_WORKERS"))
 	reduce := os.Getenv("PMAXENT_REDUCE") == "1"
-	fastMath := os.Getenv("PMAXENT_FAST_MATH") == "1"
 	deltaCheck := os.Getenv("PMAXENT_DELTA") == "1"
 
 	cfg := experiments.Config{Records: 2000, Seed: 1, MaxRuleSize: 2}
-	setIntField(&cfg, "KernelWorkers", kernelWorkers)
 	setBoolField(&cfg, "Reduce", reduce)
-	setBoolField(&cfg, "FastMath", fastMath)
 	in, err := experiments.NewInstance(cfg)
 	die(err)
 
@@ -155,10 +142,8 @@ func main() {
 		die(sys.Add(c))
 	}
 	solveOpts := maxent.Options{Decompose: true}
-	setIntField(&solveOpts, "KernelWorkers", kernelWorkers)
 	setBoolField(&solveOpts, "Reduce", reduce)
-	setBoolField(&solveOpts, "FastMath", fastMath)
-	sol, err := maxent.Solve(sys, solveOpts)
+	sol, err := maxent.SolveContext(context.Background(), sys, solveOpts)
 	die(err)
 	post := sol.Posterior()
 	acc, err := metrics.EstimationAccuracy(in.Truth, post)

@@ -21,9 +21,10 @@
 // The two sides need not be different checkouts: with -seed and -head
 // pointing at the same directory, repeatable -seed-env/-head-env KEY=VALUE
 // flags differentiate them instead. That is how the kernel-parallelism A/B
-// runs — one tree, seed side pinned to serial kernels:
+// runs — one tree, seed side pinned to serial kernels (the solve's worker
+// count defaults to GOMAXPROCS):
 //
-//	benchab -seed . -head . -seed-env PMAXENT_KERNEL_WORKERS=-1 \
+//	benchab -seed . -head . -seed-env GOMAXPROCS=1 \
 //	        -gate BenchmarkSolveWithKnowledge -out BENCH_3.json
 package main
 
