@@ -43,15 +43,23 @@ type dualObjective struct {
 	scratch *dualScratch
 	hessOK  bool          // scratch.touch/coeff hold this matrix's adjacency
 	run     linalg.Runner // block executor; nil runs blocks serially
+
+	// The two block kernels are bound once, so Eval and Primal hand
+	// forBlocks no per-call closure (one would escape to the heap on
+	// every evaluation); each call sets the kernels' operands first.
+	expBlock, gradBlock func(b int)
+	lambda, x, grad     []float64
 }
 
 func newDualObjective(a *linalg.CSR, c []float64) *dualObjective {
-	return &dualObjective{
+	d := &dualObjective{
 		a:       a,
 		cols:    a.Columns(),
 		c:       c,
 		scratch: newDualScratch(a.Cols()),
 	}
+	d.expBlock, d.gradBlock = d.expKernel, d.gradKernel
+	return d
 }
 
 // setRunner installs the executor the blocked kernels fan out on; nil
@@ -92,37 +100,44 @@ func (d *dualObjective) Dim() int { return d.a.Rows() }
 // sweep over the term space per evaluation.
 func (d *dualObjective) Eval(lambda, grad []float64) float64 {
 	s := d.scratch
-	n := d.a.Cols()
-	nbCols := linalg.NumBlocks(n)
-	s.blockSums = growFloats(s.blockSums, nbCols)
-	d.forBlocks(nbCols, func(b int) {
-		lo, hi := linalg.BlockBounds(b, n)
-		s.blockSums[b] = d.cols.ExpDots(lambda, s.x, lo, hi)
-	})
+	d.lambda, d.x, d.grad = lambda, s.x, grad
+	d.expAll()
 	var sumExp float64
 	for _, v := range s.blockSums {
 		sumExp += v
 	}
 	f := sumExp - linalg.Dot(lambda, d.c)
-
-	m := d.a.Rows()
-	d.forBlocks(linalg.NumBlocks(m), func(b int) {
-		lo, hi := linalg.BlockBounds(b, m)
-		d.a.MulVecRange(s.x, grad, lo, hi)
-		for i := lo; i < hi; i++ {
-			grad[i] -= d.c[i]
-		}
-	})
+	d.forBlocks(linalg.NumBlocks(d.a.Rows()), d.gradBlock)
 	return f
 }
 
 // Primal recovers x(λ) into dst (length = number of active variables).
 func (d *dualObjective) Primal(lambda, dst []float64) {
-	n := d.a.Cols()
-	d.forBlocks(linalg.NumBlocks(n), func(b int) {
-		lo, hi := linalg.BlockBounds(b, n)
-		d.cols.ExpDots(lambda, dst, lo, hi)
-	})
+	d.lambda, d.x = lambda, dst
+	d.expAll()
+}
+
+// expAll runs the fused kernel over every column block: x = exp(Aᵀλ − 1)
+// into d.x and each block's share of Σ x into scratch.blockSums.
+func (d *dualObjective) expAll() {
+	nb := linalg.NumBlocks(d.a.Cols())
+	d.scratch.blockSums = growFloats(d.scratch.blockSums, nb)
+	d.forBlocks(nb, d.expBlock)
+}
+
+// expKernel is the fused pass over column block b.
+func (d *dualObjective) expKernel(b int) {
+	lo, hi := linalg.BlockBounds(b, d.a.Cols())
+	d.scratch.blockSums[b] = d.cols.ExpDots(d.lambda, d.x, lo, hi)
+}
+
+// gradKernel writes row block b of the gradient A·x − c.
+func (d *dualObjective) gradKernel(b int) {
+	lo, hi := linalg.BlockBounds(b, d.a.Rows())
+	d.a.MulVecRange(d.x, d.grad, lo, hi)
+	for i := lo; i < hi; i++ {
+		d.grad[i] -= d.c[i]
+	}
 }
 
 // hessAdjacency returns, for each variable, the rows touching it and

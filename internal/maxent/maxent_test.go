@@ -12,6 +12,7 @@ import (
 	"privacymaxent/internal/bucket"
 	"privacymaxent/internal/constraint"
 	"privacymaxent/internal/dataset"
+	"privacymaxent/internal/linalg"
 	"privacymaxent/internal/solver"
 )
 
@@ -639,6 +640,33 @@ func TestDualHessianMatchesFiniteDifferences(t *testing.T) {
 				t.Fatalf("Hessian asymmetric at (%d,%d)", i, j)
 			}
 		}
+	}
+}
+
+// TestDualEvalAllocationFree: once its scratch is sized, the dual's Eval
+// and Primal allocate nothing, with or without a Runner, so the
+// optimizer's iteration loop stays allocation-free.
+func TestDualEvalAllocationFree(t *testing.T) {
+	d, selected := solveWorkload(t)
+	m, rhs := workloadSystem(t, d, selected).Matrix()
+	serial := func(n int, fn func(int)) {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+	}
+	for name, run := range map[string]linalg.Runner{"nil": nil, "serial": serial} {
+		obj := newDualObjective(m, rhs)
+		obj.setRunner(run)
+		lambda := make([]float64, obj.Dim())
+		grad := make([]float64, obj.Dim())
+		x := make([]float64, m.Cols())
+		if n := testing.AllocsPerRun(20, func() { obj.Eval(lambda, grad) }); n != 0 {
+			t.Errorf("%s runner: Eval allocates %v times per call", name, n)
+		}
+		if n := testing.AllocsPerRun(20, func() { obj.Primal(lambda, x) }); n != 0 {
+			t.Errorf("%s runner: Primal allocates %v times per call", name, n)
+		}
+		obj.release()
 	}
 }
 

@@ -140,7 +140,9 @@ func TestReduceAllBucketsUntouched(t *testing.T) {
 // same posterior as the full dual within solver tolerance, with a
 // sharply smaller numeric dual, full feasibility, and a complete dual
 // vector (one multiplier per surviving row, eliminated rows included —
-// that is what audits and warm starts consume).
+// that is what audits and warm starts consume). Both gradient
+// optimizers must converge on the reduced dual itself, without the
+// full-dual polish.
 func TestSchurMatchesFullDual(t *testing.T) {
 	d, selected := solveWorkload(t)
 	sys := workloadSystem(t, d, fractionalRules(t, selected))
@@ -154,50 +156,52 @@ func TestSchurMatchesFullDual(t *testing.T) {
 	if v := sys.MaxViolation(full.X); v > 1e-6 {
 		t.Fatalf("full solve infeasible by %g", v)
 	}
-	red, err := SolveContext(context.Background(), sys, Options{Algorithm: LBFGS, Reduce: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !red.Stats.Converged {
-		t.Fatalf("reduced solve did not converge: %s", red.Stats)
-	}
-	if red.Stats.ReducedDualDim >= full.Stats.ReducedDualDim {
-		t.Fatalf("reduced dual dim %d not smaller than full %d",
-			red.Stats.ReducedDualDim, full.Stats.ReducedDualDim)
-	}
-	if v := sys.MaxViolation(red.X); v > 1e-6 {
-		t.Fatalf("reduced solution violates the original system by %g", v)
-	}
-	var worst float64
-	for id := range full.X {
-		if diff := math.Abs(red.X[id] - full.X[id]); diff > worst {
-			worst = diff
-		}
-	}
-	if worst > 1e-6 {
-		t.Fatalf("reduced posterior differs from full dual by %g", worst)
-	}
-
 	fullLabels := map[string]bool{}
 	for _, du := range full.Duals {
 		fullLabels[du.Label] = true
 	}
-	redLabels := map[string]bool{}
-	for _, du := range red.Duals {
-		if !fullLabels[du.Label] {
-			t.Fatalf("reduced solve reports dual for unknown row %q", du.Label)
+	for _, alg := range []Algorithm{LBFGS, SteepestDescent} {
+		red, err := SolveContext(context.Background(), sys, Options{Algorithm: alg, Reduce: true})
+		if err != nil {
+			t.Fatal(err)
 		}
-		redLabels[du.Label] = true
-		if math.IsNaN(du.Lambda) || math.IsInf(du.Lambda, 0) {
-			t.Fatalf("non-finite dual for %q: %v", du.Label, du.Lambda)
+		if !red.Stats.Converged {
+			t.Fatalf("%s: reduced solve did not converge: %s", alg, red.Stats)
 		}
-	}
-	// The reduced run's dual vector covers exactly its surviving rows:
-	// the numeric (coupling) dimension plus the analytically eliminated
-	// rows. Untouched buckets' invariant rows legitimately drop out.
-	if len(redLabels) <= red.Stats.ReducedDualDim {
-		t.Fatalf("reduced solve reported %d duals for a %d-dimensional numeric core — eliminated rows missing",
-			len(redLabels), red.Stats.ReducedDualDim)
+		if red.Stats.ReducedDualDim >= full.Stats.ReducedDualDim {
+			t.Fatalf("%s: reduced dual dim %d not smaller than full %d",
+				alg, red.Stats.ReducedDualDim, full.Stats.ReducedDualDim)
+		}
+		if v := sys.MaxViolation(red.X); v > 1e-6 {
+			t.Fatalf("%s: reduced solution violates the original system by %g", alg, v)
+		}
+		var worst float64
+		for id := range full.X {
+			if diff := math.Abs(red.X[id] - full.X[id]); diff > worst {
+				worst = diff
+			}
+		}
+		if worst > 1e-6 {
+			t.Fatalf("%s: reduced posterior differs from full dual by %g", alg, worst)
+		}
+
+		redLabels := map[string]bool{}
+		for _, du := range red.Duals {
+			if !fullLabels[du.Label] {
+				t.Fatalf("%s: reduced solve reports dual for unknown row %q", alg, du.Label)
+			}
+			redLabels[du.Label] = true
+			if math.IsNaN(du.Lambda) || math.IsInf(du.Lambda, 0) {
+				t.Fatalf("%s: non-finite dual for %q: %v", alg, du.Label, du.Lambda)
+			}
+		}
+		// The reduced run's dual vector covers exactly its surviving rows:
+		// the numeric (coupling) dimension plus the analytically eliminated
+		// rows. Untouched buckets' invariant rows legitimately drop out.
+		if len(redLabels) <= red.Stats.ReducedDualDim {
+			t.Fatalf("%s: reduced solve reported %d duals for a %d-dimensional numeric core — eliminated rows missing",
+				alg, len(redLabels), red.Stats.ReducedDualDim)
+		}
 	}
 }
 

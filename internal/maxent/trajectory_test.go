@@ -3,6 +3,7 @@ package maxent
 import (
 	"context"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"privacymaxent/internal/constraint"
@@ -110,6 +111,52 @@ func TestTrajectoryDecomposedComponents(t *testing.T) {
 		iterInComp++
 		if p.Iteration != iterInComp {
 			t.Fatalf("component %d: iteration %d at in-component position %d", p.Component, p.Iteration, iterInComp)
+		}
+	}
+}
+
+// TestEvaluationsMatchTrajectory: an accepted step costs exactly the
+// evaluations of the line search that found it, so a decomposed LBFGS
+// solve makes one evaluation per numerically solved component (at its
+// starting point) plus the line-search evaluations its trajectory
+// records — whether the components converge or exhaust their budget.
+// A line search that stalls produces no iterate and so no trajectory
+// entry; the converged run uses the figures' tolerance, 1e-8, at which
+// no component of this workload stalls.
+func TestEvaluationsMatchTrajectory(t *testing.T) {
+	d, selected := solveWorkload(t)
+	sys := workloadSystem(t, d, selected)
+	for _, tc := range []struct {
+		name      string
+		opts      solver.Options
+		converged bool
+	}{
+		{"converged", solver.Options{GradTol: 1e-8}, true},
+		{"capped", solver.Options{MaxIterations: 20}, false},
+	} {
+		var solved atomic.Int64
+		tc.opts.Trace = func(ev solver.TraceEvent) {
+			if ev.Iteration == 0 {
+				solved.Add(1)
+			}
+		}
+		sol, err := SolveContext(context.Background(), sys, Options{Decompose: true, CaptureTrace: true, Solver: tc.opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol.Stats.Converged != tc.converged {
+			t.Fatalf("%s: converged = %v after %d iterations", tc.name, sol.Stats.Converged, sol.Stats.Iterations)
+		}
+		if solved.Load() < 2 {
+			t.Fatalf("%s: %d components solved numerically; need ≥2", tc.name, solved.Load())
+		}
+		lineSearchEvals := 0
+		for _, p := range sol.Trajectory {
+			lineSearchEvals += p.LineSearchEvals
+		}
+		if want := int(solved.Load()) + lineSearchEvals; sol.Stats.Evaluations != want {
+			t.Fatalf("%s: Stats.Evaluations = %d, want %d components + %d line-search evaluations = %d",
+				tc.name, sol.Stats.Evaluations, solved.Load(), lineSearchEvals, want)
 		}
 	}
 }

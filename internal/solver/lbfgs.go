@@ -98,10 +98,9 @@ func LBFGS(obj Objective, x0 []float64, opts Options) (Result, error) {
 		if len(sBuf) == 0 {
 			step0 = firstStep
 		}
-		step, phi, ok := strongWolfe(lf, step0, f, dg)
-		evals += lf.evals
-		lastStep, lastLSEvals = step, lf.evals
+		step, ok := strongWolfe(lf, step0, f, dg)
 		if !ok || step == 0 {
+			evals += lf.evals
 			// A stalled line search right after an interrupt fired is the
 			// interrupt's doing, not the objective's: an internally
 			// parallel objective (see Objective) drains its kernels on
@@ -115,12 +114,9 @@ func LBFGS(obj Objective, x0 []float64, opts Options) (Result, error) {
 			res.Duration = time.Since(start)
 			return res, nil
 		}
-		// Adopt the line function's final evaluation point when it
-		// matches the accepted step; otherwise re-evaluate.
-		copy(x, xPrev)
-		linalg.Axpy(step, d, x)
-		f = obj.Eval(x, g)
-		evals++
+		f = lf.accept(x, g)
+		evals += lf.evals
+		lastStep, lastLSEvals = step, lf.evals
 
 		// Update correction pairs.
 		for i := range sNew {
@@ -147,7 +143,6 @@ func LBFGS(obj Objective, x0 []float64, opts Options) (Result, error) {
 				yNew = make([]float64, n)
 			}
 		}
-		_ = phi
 	}
 
 	if opts.Trace != nil {

@@ -18,18 +18,17 @@ const (
 )
 
 // lineFunc evaluates φ(α) = f(x + α d) and φ'(α) = ∇f(x + α d)·d,
-// tracking evaluation counts for the Result report.
+// tracking evaluation counts for the Result report. xTmp, gTmp and lastF
+// keep the point, gradient and value of the most recent evaluation, so
+// accept can adopt them instead of re-evaluating.
 type lineFunc struct {
 	obj   Objective
 	x     []float64 // base point
 	d     []float64 // search direction
 	xTmp  []float64
 	gTmp  []float64
-	evals int
-
-	// lastX/lastG hold the point and gradient of the most recent
-	// evaluation so the caller can reuse them without re-evaluating.
 	lastF float64
+	evals int
 }
 
 func newLineFunc(obj Objective, x, d []float64) *lineFunc {
@@ -54,14 +53,26 @@ func (lf *lineFunc) eval(alpha float64) (phi, dphi float64) {
 	return phi, linalg.Dot(lf.gTmp, lf.d)
 }
 
+// accept moves the iterate to the step strongWolfe found, which is
+// always the last one evaluated: it copies that evaluation's point and
+// gradient into x and g and returns its value. For a pure objective this
+// is bitwise what evaluating x + step·d again would give, since eval
+// builds the point with the same copy + Axpy (see Objective for stateful
+// ones).
+func (lf *lineFunc) accept(x, g []float64) float64 {
+	copy(x, lf.xTmp)
+	copy(g, lf.gTmp)
+	return lf.lastF
+}
+
 // strongWolfe searches for a step length satisfying the strong Wolfe
 // conditions along descent direction d. phi0 and dphi0 are φ(0) and φ'(0)
-// (dphi0 must be negative). It returns the accepted step, φ at that step,
-// and whether a satisfying step was found; on failure the best step seen
-// is returned so the optimizer can still make progress or bail out.
-func strongWolfe(lf *lineFunc, alpha0, phi0, dphi0 float64) (alpha, phi float64, ok bool) {
+// (dphi0 must be negative). It returns the accepted step and whether a
+// satisfying step was found; a found step is always the last one lf
+// evaluated. On failure the best step seen is returned.
+func strongWolfe(lf *lineFunc, alpha0, phi0, dphi0 float64) (alpha float64, ok bool) {
 	if dphi0 >= 0 {
-		return 0, phi0, false
+		return 0, false
 	}
 	alphaPrev, phiPrev := 0.0, phi0
 	alpha = alpha0
@@ -77,7 +88,7 @@ func strongWolfe(lf *lineFunc, alpha0, phi0, dphi0 float64) (alpha, phi float64,
 			return zoom(lf, alphaPrev, alpha, phiPrev, phi0, dphi0)
 		}
 		if math.Abs(dphiA) <= -wolfeC2*dphi0 {
-			return alpha, phiA, true
+			return alpha, true
 		}
 		if dphiA >= 0 {
 			return zoom(lf, alpha, alphaPrev, phiA, phi0, dphi0)
@@ -85,15 +96,15 @@ func strongWolfe(lf *lineFunc, alpha0, phi0, dphi0 float64) (alpha, phi float64,
 		alphaPrev, phiPrev = alpha, phiA
 		alpha *= 2
 		if alpha > maxAlpha {
-			return alphaPrev, phiPrev, false
+			return alphaPrev, false
 		}
 	}
-	return alphaPrev, phiPrev, false
+	return alphaPrev, false
 }
 
 // zoom narrows [lo, hi] (in the sense of Nocedal & Wright Alg. 3.6; lo has
 // the lower φ) until a strong-Wolfe point is found.
-func zoom(lf *lineFunc, alphaLo, alphaHi, phiLo, phi0, dphi0 float64) (alpha, phi float64, ok bool) {
+func zoom(lf *lineFunc, alphaLo, alphaHi, phiLo, phi0, dphi0 float64) (alpha float64, ok bool) {
 	for i := 0; i < maxZoomRounds; i++ {
 		alpha = 0.5 * (alphaLo + alphaHi)
 		phiA, dphiA := lf.eval(alpha)
@@ -102,7 +113,7 @@ func zoom(lf *lineFunc, alphaLo, alphaHi, phiLo, phi0, dphi0 float64) (alpha, ph
 			alphaHi = alpha
 		default:
 			if math.Abs(dphiA) <= -wolfeC2*dphi0 {
-				return alpha, phiA, true
+				return alpha, true
 			}
 			if dphiA*(alphaHi-alphaLo) >= 0 {
 				alphaHi = alphaLo
@@ -117,7 +128,7 @@ func zoom(lf *lineFunc, alphaLo, alphaHi, phiLo, phi0, dphi0 float64) (alpha, ph
 	// Armijo decrease still holds there.
 	if alphaLo > 0 {
 		phiA, _ := lf.eval(alphaLo)
-		return alphaLo, phiA, finite(phiA) && phiA <= phi0+wolfeC1*alphaLo*dphi0
+		return alphaLo, finite(phiA) && phiA <= phi0+wolfeC1*alphaLo*dphi0
 	}
-	return 0, phi0, false
+	return 0, false
 }

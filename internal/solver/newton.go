@@ -79,10 +79,9 @@ func Newton(obj HessianObjective, x0 []float64, opts Options) (Result, error) {
 
 		copy(xPrev, x)
 		lf.reset(xPrev, d)
-		step, _, ok := strongWolfe(lf, 1, f, dg)
-		evals += lf.evals
-		lastStep, lastLSEvals = step, lf.evals
+		step, ok := strongWolfe(lf, 1, f, dg)
 		if !ok || step == 0 {
+			evals += lf.evals
 			// Distinguish an interrupt-poisoned search from a genuine
 			// stall (see the matching LBFGS comment).
 			if opts.interrupted() {
@@ -90,10 +89,9 @@ func Newton(obj HessianObjective, x0 []float64, opts Options) (Result, error) {
 			}
 			return Result{X: x, F: f, GradNorm: gNorm, Iterations: iter, Evaluations: evals, Duration: time.Since(start)}, nil
 		}
-		copy(x, xPrev)
-		linalg.Axpy(step, d, x)
-		f = obj.Eval(x, g)
-		evals++
+		f = lf.accept(x, g)
+		evals += lf.evals
+		lastStep, lastLSEvals = step, lf.evals
 	}
 	if opts.Trace != nil {
 		opts.Trace(TraceEvent{Iteration: opts.MaxIterations, F: f, GradNorm: linalg.NormInf(g), Step: lastStep, LineSearchEvals: lastLSEvals})

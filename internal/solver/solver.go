@@ -12,7 +12,12 @@ import (
 )
 
 // Objective is a smooth function f: ℝⁿ → ℝ with gradient. Eval must write
-// the gradient at x into grad (len == Dim) and return f(x).
+// the gradient at x into grad (len == Dim) and return f(x). The
+// optimizers evaluate each point once: an accepted step adopts the line
+// search's evaluation there as the next iterate. An objective that keeps
+// state between calls (the Schur-reduced MaxEnt dual warm-starts its
+// inner scalings) therefore hands the iterate the value and gradient of
+// that call, which can differ from a later call at the same point.
 //
 // The optimizers call Eval from a single goroutine, but Eval itself may
 // be internally parallel (the MaxEnt dual shards its kernels over a
@@ -88,7 +93,9 @@ type TraceEvent struct {
 	// this iterate (0 on the first event).
 	Step float64
 	// LineSearchEvals counts objective evaluations spent by that line
-	// search (0 on the first event).
+	// search (0 on the first event). The iterate adopts the search's
+	// last evaluation, so a run that converges or exhausts its budget
+	// makes 1 + Σ LineSearchEvals evaluations in all.
 	LineSearchEvals int
 }
 

@@ -47,10 +47,9 @@ func SteepestDescent(obj Objective, x0 []float64, opts Options) (Result, error) 
 
 		copy(xPrev, x)
 		lf.reset(xPrev, d)
-		accepted, _, ok := strongWolfe(lf, step, f, dg)
-		evals += lf.evals
-		lastStep, lastLSEvals = accepted, lf.evals
+		accepted, ok := strongWolfe(lf, step, f, dg)
 		if !ok || accepted == 0 {
+			evals += lf.evals
 			// Distinguish an interrupt-poisoned search from a genuine
 			// stall (see the matching LBFGS comment).
 			if opts.interrupted() {
@@ -58,10 +57,9 @@ func SteepestDescent(obj Objective, x0 []float64, opts Options) (Result, error) 
 			}
 			return Result{X: x, F: f, GradNorm: gNorm, Iterations: iter, Evaluations: evals, Duration: time.Since(start)}, nil
 		}
-		copy(x, xPrev)
-		linalg.Axpy(accepted, d, x)
-		f = obj.Eval(x, g)
-		evals++
+		f = lf.accept(x, g)
+		evals += lf.evals
+		lastStep, lastLSEvals = accepted, lf.evals
 		// Reuse the accepted step as the next initial trial; gradient
 		// methods benefit from step-length memory.
 		step = accepted
