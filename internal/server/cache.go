@@ -76,6 +76,10 @@ type cacheEntry struct {
 	// cached ancestor — and re-solves only changed components; the chain
 	// advances whenever a converged solve stores its successor state.
 	state *core.DeltaState
+
+	// views lists the view keys aliased to this entry, oldest first
+	// (guarded by the cache's mutex, not warmMu).
+	views [][32]byte
 }
 
 // build constructs the prepared base exactly once per entry; every
@@ -136,16 +140,59 @@ func (e *cacheEntry) storeState(st *core.DeltaState) {
 	e.warmMu.Unlock()
 }
 
+// viewKey is the key a request's exact published bytes are aliased
+// under: SHA-256 of the canonical scheme declaration (empty for the
+// absent default), a 0x00 byte and the raw bytes. Scheme names and
+// canonical params hold no 0x00, so no two declarations share a key.
+func viewKey(rs *resolvedScheme, published []byte) [32]byte {
+	h := sha256.New()
+	h.Write(rs.key())
+	h.Write([]byte{0})
+	h.Write(published)
+	var k [32]byte
+	h.Sum(k[:0])
+	return k
+}
+
+// viewAlias is what a view key stands for: the digest its bytes produce
+// under its scheme, and the view parsed from exactly those bytes.
+type viewAlias struct {
+	digest string
+	pub    *bucket.Bucketized
+}
+
+// digestUnder fills in the view's digest under rs unless the alias
+// already carried it.
+func (v *viewAlias) digestUnder(rs *resolvedScheme) error {
+	if v.digest != "" {
+		return nil
+	}
+	d, err := DigestScheme(v.pub, rs.schemeOf())
+	v.digest = d
+	return err
+}
+
+// maxViews bounds the view keys one entry keeps, so that aliases stay
+// within a fixed multiple of the cache's capacity however many byte
+// forms of one publication arrive.
+const maxViews = 4
+
 // preparedCache is a fixed-capacity LRU of cacheEntry keyed by published
 // digest. Hits move to front; inserting beyond capacity evicts the least
 // recently used entry (in-flight holders of an evicted entry keep using
 // it — Prepared is immutable, eviction only drops the cache's
 // reference).
+//
+// Beside the digests, the cache maps view keys to their aliases. An
+// alias lets a request that repeats known bytes skip parsing and
+// digesting them; it never stands in for the digest as the identity of
+// a publication. Aliases live on a resident entry and leave with it.
 type preparedCache struct {
 	mu      sync.Mutex
 	cap     int
 	order   *list.List // *cacheEntry; front = most recently used
 	entries map[string]*list.Element
+	views   map[[32]byte]viewAlias
 	// onEvict, when set, runs (outside the lock is unnecessary — it only
 	// bumps a counter) once per capacity eviction; failed-build drops are
 	// not evictions.
@@ -160,6 +207,7 @@ func newPreparedCache(capacity int, onEvict func()) *preparedCache {
 		cap:     capacity,
 		order:   list.New(),
 		entries: make(map[string]*list.Element),
+		views:   make(map[[32]byte]viewAlias),
 		onEvict: onEvict,
 	}
 }
@@ -177,9 +225,7 @@ func (c *preparedCache) get(digest string) (*cacheEntry, bool) {
 	e := &cacheEntry{digest: digest, createdAt: time.Now()}
 	c.entries[digest] = c.order.PushFront(e)
 	if c.order.Len() > c.cap {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.entries, oldest.Value.(*cacheEntry).digest)
+		c.remove(c.order.Back())
 		if c.onEvict != nil {
 			c.onEvict()
 		}
@@ -193,9 +239,51 @@ func (c *preparedCache) drop(digest string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[digest]; ok {
-		c.order.Remove(el)
-		delete(c.entries, digest)
+		c.remove(el)
 	}
+}
+
+// remove unlinks an entry and the view keys aliased to it. Callers hold
+// c.mu.
+func (c *preparedCache) remove(el *list.Element) {
+	e := el.Value.(*cacheEntry)
+	c.order.Remove(el)
+	delete(c.entries, e.digest)
+	for _, k := range e.views {
+		delete(c.views, k)
+	}
+}
+
+// view returns the alias registered under key. It leaves the LRU order
+// alone: recency stays the solve's own get, as without aliases.
+func (c *preparedCache) view(key [32]byte) (viewAlias, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	a, ok := c.views[key]
+	return a, ok
+}
+
+// alias registers key for the resident entry of a.digest, replacing the
+// entry's oldest key beyond maxViews. It does nothing when key is
+// already known or the entry is not resident: evicted, dropped, or never
+// built, as for a vague solve.
+func (c *preparedCache) alias(key [32]byte, a viewAlias) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.entries[a.digest]
+	if !ok {
+		return
+	}
+	if _, known := c.views[key]; known {
+		return
+	}
+	e := el.Value.(*cacheEntry)
+	if len(e.views) == maxViews {
+		delete(c.views, e.views[0])
+		e.views = append(e.views[:0], e.views[1:]...)
+	}
+	e.views = append(e.views, key)
+	c.views[key] = a
 }
 
 // len reports the current number of cached publications.

@@ -702,11 +702,13 @@ func (s *Server) handleQuantify(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r.Context(), fmt.Errorf("%w: missing \"published\"", errBadRequest))
 		return
 	}
-	pub, err := bucket.ReadJSON(bytes.NewReader(req.Published))
+	rs, schemeErr := resolveScheme(req.Scheme)
+	vkey, view, err := s.readView(req.Published, rs, schemeErr)
 	if err != nil {
-		s.writeError(w, r.Context(), fmt.Errorf("%w: published view: %v", errBadRequest, err))
+		s.writeError(w, r.Context(), err)
 		return
 	}
+	pub := view.pub
 	var knowledge []constraint.DistributionKnowledge
 	if len(req.Knowledge) > 0 {
 		knowledge, err = constraint.ParseKnowledgeJSON(bytes.NewReader(req.Knowledge), pub.Schema())
@@ -715,9 +717,8 @@ func (s *Server) handleQuantify(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	rs, err := resolveScheme(req.Scheme)
-	if err != nil {
-		s.writeError(w, r.Context(), err)
+	if schemeErr != nil {
+		s.writeError(w, r.Context(), schemeErr)
 		return
 	}
 	if rs != nil {
@@ -744,11 +745,11 @@ func (s *Server) handleQuantify(w http.ResponseWriter, r *http.Request) {
 	// solves bypass the prepared cache entirely, and boxed-scheme solves
 	// have no decomposed equality components to diff.
 	delta := req.Delta && s.cfg.DeltaChain && req.Eps == 0 && !wantAudit && !rs.boxed()
-	digest, err := DigestScheme(pub, rs.schemeOf())
-	if err != nil {
+	if err := view.digestUnder(rs); err != nil {
 		s.writeError(w, r.Context(), err)
 		return
 	}
+	digest := view.digest
 
 	// Every request pre-registers a live-solve entry; losing the
 	// single-flight race below aborts it and adopts the leader's.
@@ -776,6 +777,9 @@ func (s *Server) handleQuantify(w http.ResponseWriter, r *http.Request) {
 
 	if boolQuery(r, "stream") {
 		s.streamQuantify(w, waitCtx, call, ai)
+		if ai.outcome == "ok" {
+			s.cache.alias(vkey, view)
+		}
 		return
 	}
 
@@ -785,10 +789,32 @@ func (s *Server) handleQuantify(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r.Context(), err)
 		return
 	}
+	s.cache.alias(vkey, view)
 	s.reg.Histogram("pmaxentd_request_duration_seconds", telemetry.DurationBuckets).
 		Observe(time.Since(start).Seconds())
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(body)
+}
+
+// readView returns a request's published view under its resolved
+// scheme, and the view key of its exact bytes. An aliased key skips the
+// parse and carries the digest; otherwise the view is parsed here and
+// digestUnder computes the digest once the request's other checks pass.
+// A scheme that failed to resolve is not looked up, but its view is
+// still parsed, so a publication error takes precedence over it.
+func (s *Server) readView(published []byte, rs *resolvedScheme, schemeErr error) ([32]byte, viewAlias, error) {
+	var key [32]byte
+	if schemeErr == nil {
+		key = viewKey(rs, published)
+		if view, ok := s.cache.view(key); ok {
+			return key, view, nil
+		}
+	}
+	pub, err := bucket.ReadJSON(bytes.NewReader(published))
+	if err != nil {
+		return key, viewAlias{}, fmt.Errorf("%w: published view: %v", errBadRequest, err)
+	}
+	return key, viewAlias{pub: pub}, nil
 }
 
 // fillMeta copies the flight's accounting into the access-log info —
@@ -927,11 +953,13 @@ func (s *Server) handleQuantifyBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r.Context(), fmt.Errorf("%w: missing \"variants\"", errBadRequest))
 		return
 	}
-	pub, err := bucket.ReadJSON(bytes.NewReader(req.Published))
+	rs, schemeErr := resolveScheme(req.Scheme)
+	vkey, view, err := s.readView(req.Published, rs, schemeErr)
 	if err != nil {
-		s.writeError(w, r.Context(), fmt.Errorf("%w: published view: %v", errBadRequest, err))
+		s.writeError(w, r.Context(), err)
 		return
 	}
+	pub := view.pub
 	// Parse every variant up front: a malformed variant fails the whole
 	// batch before any solve starts, not halfway through.
 	parsed := make([][]constraint.DistributionKnowledge, len(req.Variants))
@@ -945,19 +973,18 @@ func (s *Server) handleQuantifyBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	rs, err := resolveScheme(req.Scheme)
-	if err != nil {
-		s.writeError(w, r.Context(), err)
+	if schemeErr != nil {
+		s.writeError(w, r.Context(), schemeErr)
 		return
 	}
 	if rs != nil {
 		s.reg.Counter("pmaxentd_scheme_requests_total").Add(1)
 	}
-	digest, err := DigestScheme(pub, rs.schemeOf())
-	if err != nil {
+	if err := view.digestUnder(rs); err != nil {
 		s.writeError(w, r.Context(), err)
 		return
 	}
+	digest := view.digest
 	delta := req.Delta && s.cfg.DeltaChain && !rs.boxed()
 	s.reg.Counter("pmaxentd_batch_requests_total").Add(1)
 	s.reg.Counter("pmaxentd_batch_variants_total").Add(int64(len(req.Variants)))
@@ -1059,13 +1086,23 @@ func (s *Server) handleQuantifyBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.reg.Histogram("pmaxentd_request_duration_seconds", telemetry.DurationBuckets).
 		Observe(time.Since(start).Seconds())
+	data, err := encodeBatch(resp)
+	if err != nil {
+		if stream {
+			return // the stream's headers are out: it ends without a result frame
+		}
+		s.writeError(w, r.Context(), fmt.Errorf("server: encoding batch response: %w", err))
+		return
+	}
+	s.cache.alias(vkey, view)
 	if stream {
-		data, _ := json.Marshal(resp)
 		writeSSE(w, sseFrame{event: "result", data: data})
 		fl.Flush()
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(append(data, '\n'))
 }
 
 // runQuantify is the single-flight leader: admission, prepared-cache
@@ -1209,14 +1246,14 @@ func (s *Server) runQuantify(pub *bucket.Bucketized, knowledge []constraint.Dist
 		}
 	}
 
-	resp := buildResponse(digest, cacheState, eps, pub.Schema(), rep, s.q.Config().Solve.Algorithm)
+	resp := responseFields(digest, cacheState, eps, rep, s.q.Config().Solve.Algorithm)
 	resp.Scheme = rs.echo()
 	resp.ElapsedMS = float64(time.Since(start).Nanoseconds()) / 1e6
-	body, err := json.Marshal(resp)
+	body, err := encodeResponse(resp, rep.Posterior, pub.Schema())
 	if err != nil {
 		return nil, fmt.Errorf("server: encoding response: %w", err)
 	}
-	return append(body, '\n'), nil
+	return body, nil
 }
 
 // noteQueueWait feeds one observed admission wait into the queue-wait

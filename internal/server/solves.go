@@ -383,10 +383,7 @@ func (r *solveRegistry) finish(ls *liveSolve, body []byte, err error) {
 
 	r.mu.Lock()
 	delete(r.live, ls.id)
-	r.done = append(r.done, ls)
-	if len(r.done) > r.retention {
-		r.done = r.done[len(r.done)-r.retention:]
-	}
+	r.retire(ls)
 	n := len(r.live)
 	r.mu.Unlock()
 	r.reg.Gauge("pmaxentd_solves_live").Set(float64(n))
@@ -440,11 +437,22 @@ func (r *solveRegistry) adopt(rec history.Record) {
 	ls.closed = true
 
 	r.mu.Lock()
-	r.done = append(r.done, ls)
-	if len(r.done) > r.retention {
-		r.done = r.done[len(r.done)-r.retention:]
-	}
+	r.retire(ls)
 	r.mu.Unlock()
+}
+
+// retire appends ls to the finished ring, dropping the oldest entries
+// beyond retention. The survivors are copied down and the vacated tail
+// cleared: re-slicing would leave the dropped solves, and the response
+// bytes their result frames hold, reachable through the backing array.
+// Callers hold r.mu.
+func (r *solveRegistry) retire(ls *liveSolve) {
+	r.done = append(r.done, ls)
+	if over := len(r.done) - r.retention; over > 0 {
+		n := copy(r.done, r.done[over:])
+		clear(r.done[n:])
+		r.done = r.done[:n]
+	}
 }
 
 // find returns the solve with the given ID, live or recently finished.

@@ -320,9 +320,18 @@ func buildPosterior(post *dataset.Conditional, schema *dataset.Schema) []Posteri
 }
 
 // buildResponse converts a pipeline report into the wire response. The
-// same function serves the HTTP handler and the parity tests, so "what
-// the server says" and "what the library computes" cannot drift apart.
+// parity tests compare the server's bytes with this struct's encoding,
+// so "what the server says" and "what the library computes" cannot
+// drift apart.
 func buildResponse(digest, cacheState string, eps float64, schema *dataset.Schema, rep *core.Report, alg maxent.Algorithm) *QuantifyResponse {
+	resp := responseFields(digest, cacheState, eps, rep, alg)
+	resp.Posterior = buildPosterior(rep.Posterior, schema)
+	return resp
+}
+
+// responseFields is buildResponse without the posterior, which the
+// server's encodeResponse writes from the report directly.
+func responseFields(digest, cacheState string, eps float64, rep *core.Report, alg maxent.Algorithm) *QuantifyResponse {
 	st := rep.Solution.Stats
 	resp := &QuantifyResponse{
 		Digest:               digest,
@@ -331,7 +340,6 @@ func buildResponse(digest, cacheState string, eps float64, schema *dataset.Schem
 		Eps:                  eps,
 		MaxDisclosure:        rep.MaxDisclosure,
 		PosteriorEntropyBits: rep.PosteriorEntropy,
-		Posterior:            buildPosterior(rep.Posterior, schema),
 		Solver: SolverStats{
 			Algorithm:         alg.String(),
 			Iterations:        st.Iterations,
