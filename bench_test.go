@@ -443,7 +443,7 @@ func BenchmarkIndividualsSolve(b *testing.B) {
 	k := individuals.ValueProbability{Person: individuals.Person{QID: 0}, SAs: []int{0}, P: 0.2}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := individuals.Solve(sp, []individuals.Knowledge{k}, maxent.Options{}); err != nil {
+		if _, err := individuals.Solve(context.Background(), sp, []individuals.Knowledge{k}, maxent.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -103,4 +103,17 @@ func TestErrorTaxonomy(t *testing.T) {
 			t.Fatalf("err = %v, want ErrInterrupted", err)
 		}
 	})
+
+	t.Run("interrupted individuals solve", func(t *testing.T) {
+		d, err := bucket.FromPartition(dataset.PaperExample(), dataset.PaperBuckets())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		_, err = New(Config{}).QuantifyIndividuals(ctx, d, nil)
+		if !errors.Is(err, ErrInterrupted) {
+			t.Fatalf("err = %v, want ErrInterrupted", err)
+		}
+	})
 }

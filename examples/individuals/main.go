@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -39,7 +40,7 @@ func main() {
 
 	solveAndShow := func(title string, persons []individuals.Person, know []individuals.Knowledge) {
 		fmt.Printf("\n%s\n", title)
-		sol, err := individuals.Solve(sp, know, maxent.Options{})
+		sol, err := individuals.Solve(context.Background(), sp, know, maxent.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}

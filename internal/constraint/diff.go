@@ -95,43 +95,43 @@ type SystemDiff struct {
 // old may be nil (or over a different Space): everything diffs as New.
 func DiffSystems(old, new *System) *SystemDiff {
 	d := &SystemDiff{}
-	newComps := systemComponents(new)
+	newComps := Components(new, TouchedBuckets(new))
 	if old == nil || old.space != new.space {
 		for _, nc := range newComps {
 			d.Components = append(d.Components, ComponentDiff{
-				Class: DiffNew, Root: nc.root, Buckets: nc.buckets, Rows: nc.rows,
+				Class: DiffNew, Root: nc.Root, Buckets: nc.Buckets, Rows: nc.Rows,
 			})
 			d.New++
 		}
 		return d
 	}
-	oldComps := systemComponents(old)
+	oldComps := Components(old, TouchedBuckets(old))
 	byKey := make(map[string]int, len(oldComps))
 	bucketOwner := make(map[int]int)
 	for i := range oldComps {
-		byKey[bucketKey(oldComps[i].buckets)] = i
-		for _, b := range oldComps[i].buckets {
+		byKey[bucketKey(oldComps[i].Buckets)] = i
+		for _, b := range oldComps[i].Buckets {
 			bucketOwner[b] = i
 		}
 	}
 	for _, nc := range newComps {
-		cd := ComponentDiff{Root: nc.root, Buckets: nc.buckets, Rows: nc.rows}
-		if oi, ok := byKey[bucketKey(nc.buckets)]; ok {
+		cd := ComponentDiff{Root: nc.Root, Buckets: nc.Buckets, Rows: nc.Rows}
+		if oi, ok := byKey[bucketKey(nc.Buckets)]; ok {
 			oc := oldComps[oi]
-			if paired, clean := matchRows(old, new, oc.rows, nc.rows); clean {
+			if paired, clean := matchRows(old, new, oc.Rows, nc.Rows); clean {
 				cd.Class = DiffClean
 				cd.OldRows = paired
 			} else {
 				cd.Class = DiffDirty
-				cd.OldRows = append([]int(nil), oc.rows...)
+				cd.OldRows = append([]int(nil), oc.Rows...)
 			}
 		} else {
 			seen := make(map[int]bool)
 			var oldRows []int
-			for _, b := range nc.buckets {
+			for _, b := range nc.Buckets {
 				if oi, ok := bucketOwner[b]; ok && !seen[oi] {
 					seen[oi] = true
-					oldRows = append(oldRows, oldComps[oi].rows...)
+					oldRows = append(oldRows, oldComps[oi].Rows...)
 				}
 			}
 			if len(oldRows) > 0 {
@@ -155,29 +155,33 @@ func DiffSystems(old, new *System) *SystemDiff {
 	return d
 }
 
-// sysComponent is one connected component of a system: its union-find
-// root, bucket set, and constraint indices.
-type sysComponent struct {
-	root    int
-	buckets []int
-	rows    []int
+// Component is one connected component of a system (the Sec. 5.5
+// decomposition unit): its union-find root bucket, its buckets, and its
+// constraint indices.
+type Component struct {
+	// Root is the component's representative bucket.
+	Root int
+	// Buckets lists the component's buckets, ascending.
+	Buckets []int
+	// Rows lists the component's constraint indices, in system order.
+	Rows []int
 }
 
-// systemComponents partitions the system's constraints into connected
-// components exactly like the solver's decomposition: union-find over
-// the touched ("relevant") buckets, linked by coupling rows (any kind
-// other than the bucket-local QI/SA invariants); coupling rows join the
-// component of their first term's bucket, invariant rows of relevant
-// buckets join their bucket's component, and empty rows are skipped.
-// Components come out ordered by ascending root.
-func systemComponents(s *System) []sysComponent {
+// Components partitions the system's constraints into the connected
+// components both the solver's decomposition and the differ work on:
+// union-find over the touched buckets, which must be TouchedBuckets(s),
+// linked by coupling rows (any kind other than the bucket-local QI/SA
+// invariants); coupling rows join the component of their first term's
+// bucket, invariant rows of touched buckets join their bucket's
+// component, and empty rows are skipped. Components come out ordered by
+// ascending root.
+func Components(s *System, touched []int) []Component {
 	sp := s.space
-	relevant := TouchedBuckets(s)
-	if len(relevant) == 0 {
+	if len(touched) == 0 {
 		return nil
 	}
-	parent := make(map[int]int, len(relevant))
-	for _, b := range relevant {
+	parent := make(map[int]int, len(touched))
+	for _, b := range touched {
 		parent[b] = b
 	}
 	var find func(int) int
@@ -199,9 +203,9 @@ func systemComponents(s *System) []sysComponent {
 			union(first, sp.Term(t).Bucket)
 		}
 	}
-	relevantSet := make(map[int]bool, len(relevant))
-	for _, b := range relevant {
-		relevantSet[b] = true
+	touchedSet := make(map[int]bool, len(touched))
+	for _, b := range touched {
+		touchedSet[b] = true
 	}
 	rowsByRoot := map[int][]int{}
 	for i := range s.cons {
@@ -210,28 +214,26 @@ func systemComponents(s *System) []sysComponent {
 			continue
 		}
 		b := sp.Term(c.Terms[0]).Bucket
-		if coupling(c.Kind) {
-			rowsByRoot[find(b)] = append(rowsByRoot[find(b)], i)
-			continue
-		}
-		if relevantSet[b] {
-			rowsByRoot[find(b)] = append(rowsByRoot[find(b)], i)
+		if coupling(c.Kind) || touchedSet[b] {
+			r := find(b)
+			rowsByRoot[r] = append(rowsByRoot[r], i)
 		}
 	}
 	bucketsByRoot := map[int][]int{}
-	for _, b := range relevant {
-		bucketsByRoot[find(b)] = append(bucketsByRoot[find(b)], b)
+	for _, b := range touched {
+		r := find(b)
+		bucketsByRoot[r] = append(bucketsByRoot[r], b)
 	}
 	roots := make([]int, 0, len(rowsByRoot))
 	for r := range rowsByRoot {
 		roots = append(roots, r)
 	}
 	sort.Ints(roots)
-	out := make([]sysComponent, 0, len(roots))
+	out := make([]Component, 0, len(roots))
 	for _, r := range roots {
 		bs := bucketsByRoot[r]
 		sort.Ints(bs)
-		out = append(out, sysComponent{root: r, buckets: bs, rows: rowsByRoot[r]})
+		out = append(out, Component{Root: r, Buckets: bs, Rows: rowsByRoot[r]})
 	}
 	return out
 }

@@ -180,21 +180,22 @@ func RelevantBuckets(sys *System) []int {
 
 // TouchedBuckets generalizes RelevantBuckets to every non-invariant
 // constraint kind: a bucket is touched when any row that is not one of
-// its own QI/SA data invariants mentions one of its terms with a nonzero
-// coefficient — background knowledge (Definition 5.6), individual
-// knowledge (Sec. 6), or any future coupling row. Buckets outside the
-// returned set interact with nothing beyond their own invariants, so
-// their posterior is the closed-form within-bucket MaxEnt distribution
-// (Theorem 5) and the structural presolve assigns it without entering
-// the numeric solve.
+// its own QI/SA data invariants lists one of its terms — background
+// knowledge (Definition 5.6), individual knowledge (Sec. 6), or any
+// future coupling row. A term listed with a zero coefficient counts
+// too: its row still links the buckets in Components, which must know
+// every bucket a row links. Buckets outside the returned set interact
+// with nothing beyond their own invariants, so their posterior is the
+// closed-form within-bucket MaxEnt distribution (Theorem 5) and the
+// structural presolve assigns it without entering the numeric solve.
 func TouchedBuckets(sys *System) []int {
 	return bucketsTouchedBy(sys, func(k Kind) bool {
 		return k != QIInvariant && k != SAInvariant
 	})
 }
 
-// bucketsTouchedBy returns the sorted buckets mentioned (with nonzero
-// coefficient) by any constraint whose kind satisfies match.
+// bucketsTouchedBy returns the sorted buckets whose terms any constraint
+// whose kind satisfies match lists.
 func bucketsTouchedBy(sys *System, match func(Kind) bool) []int {
 	seen := map[int]bool{}
 	for i := 0; i < sys.Len(); i++ {
@@ -202,10 +203,7 @@ func bucketsTouchedBy(sys *System, match func(Kind) bool) []int {
 		if !match(c.Kind) {
 			continue
 		}
-		for k, t := range c.Terms {
-			if c.Coeffs[k] == 0 {
-				continue
-			}
+		for _, t := range c.Terms {
 			seen[sys.Space().Term(t).Bucket] = true
 		}
 	}

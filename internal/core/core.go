@@ -727,11 +727,12 @@ type IndividualReport struct {
 }
 
 // QuantifyIndividuals runs the pseudonym-expanded MaxEnt model (Sec. 6)
-// under the given individual-knowledge statements.
-func (q *Quantifier) QuantifyIndividuals(d *bucket.Bucketized, knowledge []individuals.Knowledge) (*IndividualReport, error) {
+// under the given individual-knowledge statements. Canceling ctx stops
+// the solve with an error wrapping solver.ErrInterrupted.
+func (q *Quantifier) QuantifyIndividuals(ctx context.Context, d *bucket.Bucketized, knowledge []individuals.Knowledge) (*IndividualReport, error) {
 	sp := individuals.NewSpace(d)
 	opts := q.cfg.Solve
-	sol, err := individuals.Solve(sp, knowledge, opts)
+	sol, err := individuals.Solve(ctx, sp, knowledge, opts)
 	if err != nil {
 		return nil, fmt.Errorf("core: individuals solve: %w", err)
 	}

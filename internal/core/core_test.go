@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -246,7 +247,7 @@ func TestQuantifyIndividuals(t *testing.T) {
 	}
 	q := New(Config{})
 	// No knowledge: exchangeable pseudonyms, moderate entropy.
-	base, err := q.QuantifyIndividuals(d, nil)
+	base, err := q.QuantifyIndividuals(context.Background(), d, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +265,7 @@ func TestQuantifyIndividuals(t *testing.T) {
 		individuals.ValueProbability{Person: individuals.Person{QID: 1, Index: 0}, SAs: []int{s5}, P: 0},
 		individuals.ValueProbability{Person: individuals.Person{QID: 1, Index: 1}, SAs: []int{s5}, P: 0},
 	}
-	rep, err := q.QuantifyIndividuals(d, know)
+	rep, err := q.QuantifyIndividuals(context.Background(), d, know)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -272,8 +272,9 @@ func (s *Solution) Aggregate(qid, sa, b int) float64 {
 }
 
 // Solve computes the pseudonym-model MaxEnt distribution under the given
-// individual-knowledge statements.
-func Solve(sp *Space, knowledge []Knowledge, opts maxent.Options) (*Solution, error) {
+// individual-knowledge statements. Canceling ctx stops the solve with an
+// error wrapping solver.ErrInterrupted.
+func Solve(ctx context.Context, sp *Space, knowledge []Knowledge, opts maxent.Options) (*Solution, error) {
 	cons := sp.Invariants()
 	for i, k := range knowledge {
 		c, err := k.Constraint(sp)
@@ -282,7 +283,7 @@ func Solve(sp *Space, knowledge []Knowledge, opts maxent.Options) (*Solution, er
 		}
 		cons = append(cons, c)
 	}
-	x, stats, err := maxent.SolveConstraintsContext(context.Background(), sp.Len(), cons, sp.UniformInit(), opts)
+	x, stats, err := maxent.SolveConstraintsContext(ctx, sp.Len(), cons, sp.UniformInit(), opts)
 	if err != nil {
 		return nil, err
 	}

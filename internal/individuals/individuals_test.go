@@ -1,6 +1,7 @@
 package individuals
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -71,7 +72,7 @@ func TestUniformInitSatisfiesInvariants(t *testing.T) {
 
 func TestSolveNoKnowledgeMatchesBaseModel(t *testing.T) {
 	_, d, sp := paperPSpace(t)
-	sol, err := Solve(sp, nil, maxent.Options{Solver: solver.Options{GradTol: 1e-11}})
+	sol, err := Solve(context.Background(), sp, nil, maxent.Options{Solver: solver.Options{GradTol: 1e-11}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestForm1PaperExample(t *testing.T) {
 	if math.Abs(c.RHS-0.02) > 1e-15 {
 		t.Fatalf("RHS = %g, want 0.2/10", c.RHS)
 	}
-	sol, err := Solve(sp, []Knowledge{k}, maxent.Options{})
+	sol, err := Solve(context.Background(), sp, []Knowledge{k}, maxent.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func TestForm2PaperExample(t *testing.T) {
 	if math.Abs(c.RHS-0.1) > 1e-15 {
 		t.Fatalf("RHS = %g, want 1/10", c.RHS)
 	}
-	sol, err := Solve(sp, []Knowledge{k}, maxent.Options{})
+	sol, err := Solve(context.Background(), sp, []Knowledge{k}, maxent.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestForm3PaperExample(t *testing.T) {
 	if math.Abs(c.RHS-0.2) > 1e-15 {
 		t.Fatalf("RHS = %g, want 2/10", c.RHS)
 	}
-	sol, err := Solve(sp, []Knowledge{k}, maxent.Options{Solver: solver.Options{MaxIterations: 2000}})
+	sol, err := Solve(context.Background(), sp, []Knowledge{k}, maxent.Options{Solver: solver.Options{MaxIterations: 2000}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +210,7 @@ func TestNegativeIndividualKnowledge(t *testing.T) {
 	s4 := tbl.Schema().SA().MustCode("HIV")
 	helen := Person{QID: 1, Index: 1}
 	k := ValueProbability{Person: helen, SAs: []int{s4}, P: 0}
-	sol, err := Solve(sp, []Knowledge{k}, maxent.Options{})
+	sol, err := Solve(context.Background(), sp, []Knowledge{k}, maxent.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +250,7 @@ func TestKnowledgeValidationErrors(t *testing.T) {
 		if _, err := k.Constraint(sp); err == nil {
 			t.Errorf("case %d: expected error", i)
 		}
-		if _, err := Solve(sp, []Knowledge{k}, maxent.Options{}); err == nil {
+		if _, err := Solve(context.Background(), sp, []Knowledge{k}, maxent.Options{}); err == nil {
 			t.Errorf("case %d: Solve should propagate the error", i)
 		}
 	}
@@ -265,7 +266,7 @@ func TestIrisLungCancerCertainty(t *testing.T) {
 		ValueProbability{Person: Person{QID: 1, Index: 0}, SAs: []int{s5}, P: 0}, // first q2 pseudonym
 		ValueProbability{Person: Person{QID: 1, Index: 1}, SAs: []int{s5}, P: 0}, // second q2 pseudonym
 	}
-	sol, err := Solve(sp, ks, maxent.Options{})
+	sol, err := Solve(context.Background(), sp, ks, maxent.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"log/slog"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -506,66 +505,22 @@ func isInvariant(k constraint.Kind) bool {
 	return k == constraint.QIInvariant || k == constraint.SAInvariant
 }
 
-// componentRows groups the relevant buckets into connected components:
-// every coupling constraint links all the buckets it touches (union by
-// rank would be overkill at these sizes; plain union-find with path
-// compression). Each component receives its buckets' data invariants and
-// its coupling rows.
-func componentRows(sys *constraint.System, relevant []int) []solveComponent {
-	sp := sys.Space()
-	parent := make(map[int]int, len(relevant))
-	for _, b := range relevant {
-		parent[b] = b
-	}
-	var find func(int) int
-	find = func(b int) int {
-		if parent[b] != b {
-			parent[b] = find(parent[b])
+// componentRows turns the system's connected components over the
+// touched buckets (constraint.Components, the partition the delta
+// differ also uses) into solve components: each receives its buckets'
+// data invariants and its coupling rows, in system order, components in
+// ascending root order. Rows share the system's term/coeff slices —
+// presolve is copy-on-write, so the shared storage stays untouched even
+// when components are solved concurrently.
+func componentRows(sys *constraint.System, touched []int) []solveComponent {
+	comps := constraint.Components(sys, touched)
+	out := make([]solveComponent, len(comps))
+	for i, c := range comps {
+		rows := make([]rowData, len(c.Rows))
+		for k, ri := range c.Rows {
+			rows[k] = rowOf(sys.At(ri))
 		}
-		return parent[b]
-	}
-	union := func(a, b int) { parent[find(a)] = find(b) }
-
-	for i := 0; i < sys.Len(); i++ {
-		c := sys.At(i)
-		if isInvariant(c.Kind) || len(c.Terms) == 0 {
-			continue
-		}
-		first := sp.Term(c.Terms[0]).Bucket
-		for _, t := range c.Terms[1:] {
-			union(first, sp.Term(t).Bucket)
-		}
-	}
-
-	// Partition constraints among component roots. Rows share the
-	// system's term/coeff slices — presolve is copy-on-write, so the
-	// shared storage stays untouched even when components are solved
-	// concurrently.
-	rowsByRoot := map[int][]rowData{}
-	relevantSet := make(map[int]bool, len(relevant))
-	for _, b := range relevant {
-		relevantSet[b] = true
-	}
-	for i := 0; i < sys.Len(); i++ {
-		c := sys.At(i)
-		if len(c.Terms) == 0 {
-			continue
-		}
-		b := sp.Term(c.Terms[0]).Bucket
-		if !isInvariant(c.Kind) || relevantSet[b] {
-			root := find(b)
-			rowsByRoot[root] = append(rowsByRoot[root], rowOf(c))
-		}
-	}
-	// Deterministic order: ascending root bucket.
-	roots := make([]int, 0, len(rowsByRoot))
-	for r := range rowsByRoot {
-		roots = append(roots, r)
-	}
-	sort.Ints(roots)
-	out := make([]solveComponent, len(roots))
-	for i, r := range roots {
-		out[i] = solveComponent{rows: rowsByRoot[r]}
+		out[i] = solveComponent{rows: rows}
 	}
 	return out
 }

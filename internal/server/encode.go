@@ -9,8 +9,9 @@ package server
 // json.Marshal(buildResponse(...)) plus a newline: map keys in
 // encoding/json's order (the raw strings, sorted), each name and value
 // quoted once per response by encoding/json itself, and floats in its
-// float64 format. A batch envelope splices its variants' finished bodies
-// in verbatim rather than letting encoding/json re-compact them.
+// float64 format, each distinct cell value formatted once per response.
+// A batch envelope splices its variants' finished bodies in verbatim
+// rather than letting encoding/json re-compact them.
 
 import (
 	"bytes"
@@ -115,6 +116,7 @@ func appendPosterior(b []byte, post *dataset.Conditional, schema *dataset.Schema
 	}
 	saKeys, saOrder := mapKeys(saNames)
 
+	var memo valueMemo
 	u := post.Universe()
 	b = append(b, '[')
 	for qid := 0; qid < u.Len(); qid++ {
@@ -143,13 +145,38 @@ func appendPosterior(b []byte, post *dataset.Conditional, schema *dataset.Schema
 			}
 			b = append(b, saKeys[j]...)
 			var err error
-			if b, err = appendFloat(b, row[s]); err != nil {
+			if b, err = memo.append(b, row[s]); err != nil {
 				return b, err
 			}
 		}
 		b = append(b, "}}"...)
 	}
 	return append(b, ']'), nil
+}
+
+// valueMemo remembers where in the body a cell value's text was last
+// written, keyed by the value's bits, so that each distinct value of a
+// posterior is formatted once per response: most cells are 0, and the
+// rest take few values. It is direct-mapped; a value whose slot another
+// value took is formatted again, which costs time and changes no byte.
+type valueMemo [256]struct {
+	bits     uint64
+	off, end int
+}
+
+// append appends f as appendFloat does.
+func (m *valueMemo) append(b []byte, f float64) ([]byte, error) {
+	bits := math.Float64bits(f)
+	e := &m[(bits*0x9e3779b97f4a7c15)>>56]
+	if e.end > 0 && e.bits == bits {
+		return append(b, b[e.off:e.end]...), nil
+	}
+	off := len(b)
+	b, err := appendFloat(b, f)
+	if err == nil {
+		e.bits, e.off, e.end = bits, off, len(b)
+	}
+	return b, err
 }
 
 // mapKeys returns the quoted `"name":` keys of a map filled from names,

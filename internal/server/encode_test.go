@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -192,6 +193,29 @@ func TestResponseEncoding(t *testing.T) {
 		rep.Audit.RequestID = "req-<&>"
 		checkEncoding(t, rep, schema, "hit", 0, &SchemeSpec{Name: "anatomy", Params: json.RawMessage(`{"l":2}`)})
 	})
+}
+
+// TestResponseValueMemo: a posterior with more distinct values than the
+// value memo has slots, each repeated, and zeros of both signs between
+// them, encodes to encoding/json's bytes, so values that share a slot
+// never borrow each other's text.
+func TestResponseValueMemo(t *testing.T) {
+	var cells []float64
+	for i := 1; i <= 300; i++ {
+		cells = append(cells, float64(i)/701, 0, math.Copysign(0, -1), 1e-7*float64(i))
+	}
+	vals := make([]string, 60)
+	for i := range vals {
+		vals[i] = strconv.Itoa(i)
+	}
+	sa := make([]string, 40)
+	for i := range sa {
+		sa[i] = "s" + strconv.Itoa(i)
+	}
+	// 60 rows of 40 cells go through the 1,200 cells twice, and their
+	// 600 nonzero values take each of the memo's 256 slots about twice.
+	rep, schema := syntheticReport(t, []string{"q"}, vals, sa, cells)
+	checkEncoding(t, rep, schema, "hit", 0, nil)
 }
 
 // FuzzResponseEncoding: for any attribute names, values and cells, the

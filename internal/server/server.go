@@ -57,6 +57,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"runtime"
@@ -216,6 +217,9 @@ type Server struct {
 	// slot is acquired and before the solve starts — a test seam for
 	// holding a slot at a known point.
 	solveHook func()
+	// maxBody bounds request bodies: maxBodyBytes, lowered by tests that
+	// send a body past the limit.
+	maxBody int64
 }
 
 // New builds a Server from cfg (see Config for defaults).
@@ -240,6 +244,7 @@ func New(cfg Config) *Server {
 		log:        telemetry.Logger(base),
 		base:       base,
 		cancelBase: cancel,
+		maxBody:    maxBodyBytes,
 	}
 	s.cache = newPreparedCache(cfg.CacheSize, func() {
 		s.reg.Counter("pmaxentd_cache_evictions_total").Add(1)
@@ -694,7 +699,8 @@ func (s *Server) handleQuantify(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var req QuantifyRequest
-	if err := decodeBody(w, r, &req); err != nil {
+	known, err := s.decodeView(w, r, &req)
+	if err != nil {
 		s.writeError(w, r.Context(), err)
 		return
 	}
@@ -703,7 +709,7 @@ func (s *Server) handleQuantify(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rs, schemeErr := resolveScheme(req.Scheme)
-	vkey, view, err := s.readView(req.Published, rs, schemeErr)
+	vkey, view, err := s.readView(req.Published, rs, schemeErr, known)
 	if err != nil {
 		s.writeError(w, r.Context(), err)
 		return
@@ -797,15 +803,20 @@ func (s *Server) handleQuantify(w http.ResponseWriter, r *http.Request) {
 }
 
 // readView returns a request's published view under its resolved
-// scheme, and the view key of its exact bytes. An aliased key skips the
-// parse and carries the digest; otherwise the view is parsed here and
-// digestUnder computes the digest once the request's other checks pass.
-// A scheme that failed to resolve is not looked up, but its view is
-// still parsed, so a publication error takes precedence over it.
-func (s *Server) readView(published []byte, rs *resolvedScheme, schemeErr error) ([32]byte, viewAlias, error) {
+// scheme, and the view key of its exact bytes: known, when decodeView
+// already hashed them. An aliased key skips the parse and carries the
+// digest; otherwise the view is parsed here and digestUnder computes the
+// digest once the request's other checks pass. A scheme that failed to
+// resolve is not looked up, but its view is still parsed, so a
+// publication error takes precedence over it.
+func (s *Server) readView(published []byte, rs *resolvedScheme, schemeErr error, known *[32]byte) ([32]byte, viewAlias, error) {
 	var key [32]byte
 	if schemeErr == nil {
-		key = viewKey(rs, published)
+		if known != nil {
+			key = *known
+		} else {
+			key = viewKey(rs, published)
+		}
 		if view, ok := s.cache.view(key); ok {
 			return key, view, nil
 		}
@@ -941,7 +952,8 @@ func (s *Server) handleQuantifyBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req BatchQuantifyRequest
-	if err := decodeBody(w, r, &req); err != nil {
+	known, err := s.decodeView(w, r, &req)
+	if err != nil {
 		s.writeError(w, r.Context(), err)
 		return
 	}
@@ -954,7 +966,7 @@ func (s *Server) handleQuantifyBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rs, schemeErr := resolveScheme(req.Scheme)
-	vkey, view, err := s.readView(req.Published, rs, schemeErr)
+	vkey, view, err := s.readView(req.Published, rs, schemeErr, known)
 	if err != nil {
 		s.writeError(w, r.Context(), err)
 		return
@@ -1282,7 +1294,7 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req MineRequest
-	if err := decodeBody(w, r, &req); err != nil {
+	if err := decodeBody(http.MaxBytesReader(w, r.Body, s.maxBody), &req); err != nil {
 		s.writeError(w, r.Context(), err)
 		return
 	}
@@ -1435,10 +1447,11 @@ func (s *Server) writeError(w http.ResponseWriter, ctx context.Context, err erro
 	writeJSON(w, status, resp)
 }
 
-// decodeBody reads a JSON request body, rejecting unknown fields so a
-// misspelled option fails loudly instead of silently running defaults.
-func decodeBody(w http.ResponseWriter, r *http.Request, dst any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+// decodeBody decodes the first JSON value a request body reader yields,
+// rejecting unknown fields so a misspelled option fails loudly instead
+// of silently running defaults.
+func decodeBody(src io.Reader, dst any) error {
+	dec := json.NewDecoder(src)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		return fmt.Errorf("%w: decoding body: %v", errBadRequest, err)
