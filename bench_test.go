@@ -21,17 +21,11 @@ import (
 
 	"privacymaxent/internal/adult"
 	"privacymaxent/internal/constraint"
-	"privacymaxent/internal/core"
 	"privacymaxent/internal/experiments"
 	"privacymaxent/internal/individuals"
 	"privacymaxent/internal/maxent"
 	"privacymaxent/internal/server"
 )
-
-// reduceEnv reads PMAXENT_REDUCE: "1" turns on the structural presolve
-// (maxent.Options.Reduce) so scripts/benchab can A/B the block-structure
-// elimination against the full dual on the same tree.
-var reduceEnv = os.Getenv("PMAXENT_REDUCE") == "1"
 
 // deltaEnv reads PMAXENT_DELTA: "1" routes BenchmarkDeltaResolve through
 // maxent.SolveDeltaContext against the pre-solved baseline, so scripts/benchab
@@ -42,7 +36,7 @@ var deltaEnv = os.Getenv("PMAXENT_DELTA") == "1"
 // benchConfig is the scaled-down workload shared by the figure benches:
 // 2000 records → 400 buckets of five at 5-diversity (paper: 14,210 →
 // 2,842).
-var benchConfig = experiments.Config{Records: 2000, Seed: 1, MaxRuleSize: 2, Reduce: reduceEnv}
+var benchConfig = experiments.Config{Records: 2000, Seed: 1, MaxRuleSize: 2}
 
 // benchInstance caches the generated workload across benchmarks; data
 // generation and rule mining are benchmarked separately.
@@ -182,7 +176,7 @@ func BenchmarkSolveNoKnowledge(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sys := constraint.DataInvariants(sp, constraint.InvariantOptions{DropRedundant: true})
-		if _, err := maxent.SolveContext(context.Background(), sys, maxent.Options{Reduce: reduceEnv}); err != nil {
+		if _, err := maxent.SolveContext(context.Background(), sys, maxent.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -207,63 +201,9 @@ func BenchmarkSolveWithKnowledge(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		if _, err := maxent.SolveContext(context.Background(), sys, maxent.Options{Decompose: true, Reduce: reduceEnv}); err != nil {
+		if _, err := maxent.SolveContext(context.Background(), sys, maxent.Options{Decompose: true}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkReducedSolve sweeps the structural presolve across untouched
-// fractions. Each sub-bench plants one synthetic bucket-local knowledge
-// row per touched bucket (feasible by construction: RHS is the row's
-// value under the closed-form posterior) and solves the whole system
-// non-decomposed, so the dual dimension the numeric core sees is set
-// entirely by how many buckets the knowledge touches. With
-// PMAXENT_REDUCE=1 the untouched buckets are closed-formed and the
-// touched buckets' invariant rows are Schur-eliminated; without it the
-// full dual solves every surviving row.
-func BenchmarkReducedSolve(b *testing.B) {
-	in := getInstance(b)
-	sp := constraint.NewSpace(in.Data)
-	uniform := maxent.Uniform(sp)
-	byBucket := make([][]int, in.Data.NumBuckets())
-	for id := 0; id < sp.Len(); id++ {
-		bk := sp.Term(id).Bucket
-		byBucket[bk] = append(byBucket[bk], id)
-	}
-	for _, untouched := range []int{0, 50, 95} {
-		nTouched := len(byBucket) * (100 - untouched) / 100
-		b.Run(fmt.Sprintf("untouched=%d%%", untouched), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sys := constraint.DataInvariants(sp, constraint.InvariantOptions{DropRedundant: true})
-				for bk := 0; bk < nTouched; bk++ {
-					terms := byBucket[bk]
-					coeffs := make([]float64, len(terms))
-					var rhs float64
-					for k, id := range terms {
-						coeffs[k] = float64(1 + k%2)
-						rhs += coeffs[k] * uniform[id]
-					}
-					c := constraint.Constraint{
-						Kind:   constraint.Knowledge,
-						Label:  fmt.Sprintf("bench-touch-%d", bk),
-						Terms:  terms,
-						Coeffs: coeffs,
-						RHS:    rhs,
-					}
-					if err := sys.Add(c); err != nil {
-						b.Fatal(err)
-					}
-				}
-				sol, err := maxent.SolveContext(context.Background(), sys, maxent.Options{Reduce: reduceEnv})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if sol.Stats.MaxViolation > 1e-6 {
-					b.Fatalf("untouched=%d%%: infeasible solve: %s", untouched, sol.Stats)
-				}
-			}
-		})
 	}
 }
 
@@ -293,7 +233,7 @@ func BenchmarkSolveWarmStarted(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sys := base.Clone()
-		if _, err := maxent.SolveContext(context.Background(), sys, maxent.Options{Decompose: true, WarmStart: seed.Duals, Reduce: reduceEnv}); err != nil {
+		if _, err := maxent.SolveContext(context.Background(), sys, maxent.Options{Decompose: true, WarmStart: seed.Duals}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -327,7 +267,7 @@ func BenchmarkDeltaResolve(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	opts := maxent.Options{Decompose: true, Reduce: reduceEnv}
+	opts := maxent.Options{Decompose: true}
 	// The baseline needs ~600 LBFGS iterations; the default cap would
 	// leave it unconverged and unusable as a delta ancestor.
 	opts.Solver.MaxIterations = 5000
@@ -429,7 +369,7 @@ func BenchmarkSolveParallelComponents(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		if _, err := maxent.SolveContext(context.Background(), sys, maxent.Options{Decompose: true, Workers: 8, Reduce: reduceEnv}); err != nil {
+		if _, err := maxent.SolveContext(context.Background(), sys, maxent.Options{Decompose: true, Workers: 8}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -499,7 +439,7 @@ func BenchmarkServerQuantify(b *testing.B) {
 	body := fmt.Sprintf(`{"published": %s, "knowledge": %s}`, pub.String(), kjson.String())
 
 	cold := os.Getenv("PMAXENT_SERVER_COLD") == "1"
-	cfg := server.Config{Pipeline: core.Config{Solve: maxent.Options{Reduce: reduceEnv}}}
+	cfg := server.Config{}
 	srv := server.New(cfg)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

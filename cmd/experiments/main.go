@@ -40,7 +40,6 @@ func main() {
 		kGrid       = flag.String("ks", "", "comma-separated K grid for Figures 5 and 6 (default: geometric sweep)")
 		maxIter     = flag.Int("maxiter", 0, "LBFGS iteration budget for accuracy solves (default 6000)")
 		workers     = flag.Int("workers", 0, "concurrent grid evaluations in the sweep figures (0 = GOMAXPROCS, <0 = sequential)")
-		reduce      = flag.Bool("reduce", false, "structural presolve: closed-form untouched buckets + Schur-eliminated invariant rows")
 		auditDir    = flag.String("audit-dir", "", "write per-point solve audits (figures 7a/7b/7c and the solver ablation) into this directory")
 		out         = flag.String("out", "", "write the frontier points as CSV to this file (frontier figure only)")
 	)
@@ -60,7 +59,6 @@ func main() {
 		MaxRuleSize:   *maxRuleSize,
 		MaxIterations: *maxIter,
 		Workers:       *workers,
-		Reduce:        *reduce,
 		AuditDir:      *auditDir,
 	}
 	if err := run(*figure, cfg, *maxT, parseInts(*buckets), parseInts(*constraints), *k, parseInts(*kGrid), *out); err != nil {

@@ -61,7 +61,6 @@ type options struct {
 	minSupport      int
 	sizes           string
 	algorithm       string
-	reduce          bool
 	top             int
 	demo            bool
 	trace           bool
@@ -90,7 +89,6 @@ func main() {
 	flag.IntVar(&o.minSupport, "minsupport", 3, "minimum association-rule support (records)")
 	flag.StringVar(&o.sizes, "sizes", "", "comma-separated QI-subset sizes to mine (default: all)")
 	flag.StringVar(&o.algorithm, "algorithm", "lbfgs", "dual solver: lbfgs, gis, iis, steepest, newton")
-	flag.BoolVar(&o.reduce, "reduce", false, "structural presolve: closed-form untouched buckets and Schur-eliminate bucket-local invariant rows before the numeric solve")
 	flag.IntVar(&o.top, "top", 10, "number of riskiest QI tuples to print")
 	flag.BoolVar(&o.demo, "demo", false, "run on the paper's built-in example instead of a file")
 	flag.BoolVar(&o.trace, "trace", false, "emit a JSON-lines span trace and metrics snapshot to stderr")
@@ -252,7 +250,7 @@ func runOriginal(ctx context.Context, w io.Writer, o options, alg maxent.Algorit
 		Diversity:  o.diversity,
 		MinSupport: o.minSupport,
 		RuleSizes:  ruleSizes,
-		Solve:      maxent.Options{Algorithm: alg, Reduce: o.reduce},
+		Solve:      maxent.Options{Algorithm: alg},
 		Audit:      auditConfig(o),
 	})
 
@@ -319,7 +317,7 @@ func runPublished(ctx context.Context, w io.Writer, o options, alg maxent.Algori
 			return err
 		}
 	}
-	q := core.New(core.Config{Solve: maxent.Options{Algorithm: alg, Reduce: o.reduce}, Audit: auditConfig(o)})
+	q := core.New(core.Config{Solve: maxent.Options{Algorithm: alg}, Audit: auditConfig(o)})
 	var rep *core.Report
 	if o.eps > 0 {
 		rep, err = q.QuantifyVagueContext(ctx, pub, knowledge, o.eps, nil)

@@ -2,7 +2,7 @@
 //
 //	pmaxentd [-addr :8080] [-cache 16] [-max-inflight N] [-queue N]
 //	         [-timeout 60s] [-retry-after 1s] [-drain-timeout 30s]
-//	         [-algorithm lbfgs] [-reduce]
+//	         [-algorithm lbfgs]
 //	         [-delta]
 //	         [-history-dir DIR] [-history-retention 65536] [-history-fsync 1s]
 //	         [-done-ring 32] [-sse-keepalive 15s]
@@ -84,7 +84,6 @@ type options struct {
 	retryAfter   time.Duration
 	drainTimeout time.Duration
 	algorithm    string
-	reduce       bool
 	delta        bool
 	historyDir   string
 	historyKeep  int
@@ -106,7 +105,6 @@ func main() {
 	flag.DurationVar(&o.retryAfter, "retry-after", time.Second, "Retry-After hint on 429/503 responses")
 	flag.DurationVar(&o.drainTimeout, "drain-timeout", 30*time.Second, "how long SIGTERM waits for in-flight solves before force-canceling")
 	flag.StringVar(&o.algorithm, "algorithm", "lbfgs", "dual solver: lbfgs, gis, iis, steepest, newton")
-	flag.BoolVar(&o.reduce, "reduce", false, "structural presolve: closed-form untouched buckets and Schur-eliminate bucket-local invariant rows before the numeric solve")
 	flag.BoolVar(&o.delta, "delta", false, "chain delta baselines per publication: \"delta\": true requests re-solve only constraint components changed since the last converged solve")
 	flag.StringVar(&o.historyDir, "history-dir", "", "durable solve-history journal directory (empty disables /v1/history)")
 	flag.IntVar(&o.historyKeep, "history-retention", 65536, "minimum journal records kept on disk before old segments are deleted")
@@ -138,7 +136,7 @@ func run(ctx context.Context, o options, ready chan<- string) error {
 	log := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	cfg := server.Config{
 		Pipeline: core.Config{
-			Solve: maxent.Options{Algorithm: alg, Reduce: o.reduce},
+			Solve: maxent.Options{Algorithm: alg},
 		},
 		CacheSize:    o.cacheSize,
 		DeltaChain:   o.delta,

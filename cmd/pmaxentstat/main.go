@@ -10,11 +10,11 @@
 // then one line per solve, live solves first:
 //
 //	ID            STATE    REQUEST           SCHEME    ITER     GRAD      COMP   DIM         DELTA   ELAPSED
-//	0b6e3d…-7     running  9f0c4a1be2d344a1  mondrian  1204     3.2e-05   3/5    4/982-49b   2r/1d   2.41s
+//	0b6e3d…-7     running  9f0c4a1be2d344a1  mondrian  1204     3.2e-05   3/5    4/982       2r/1d   2.41s
 //
-// The DIM column appears once a solve reports its structural-presolve
-// stats: reduced dual rows over full variables, with "-Nb" counting
-// buckets solved in closed form. The DELTA column appears for
+// The DIM column appears once a solve reports its dual dimension: the
+// presolved rows the optimizer ran on over the full variable count. The
+// DELTA column appears for
 // incremental solves (pmaxentd -delta): components reused verbatim from
 // the publication's chained baseline over components re-solved.
 //
@@ -100,7 +100,6 @@ type solveRow struct {
 	ComponentsDone  int64   `json:"components_done"`
 	ComponentsTotal int64   `json:"components_total"`
 	ReducedDualDim  int64   `json:"reduced_dual_dim"`
-	EliminatedBkts  int64   `json:"eliminated_buckets"`
 	ReusedComps     int64   `json:"reused_components"`
 	DirtyComps      int64   `json:"dirty_components"`
 	QueueWaitMS     float64 `json:"queue_wait_ms"`
@@ -198,14 +197,11 @@ func render(s *snapshot) string {
 		if r.ComponentsTotal > 0 {
 			comp = fmt.Sprintf("%d/%d", r.ComponentsDone, r.ComponentsTotal)
 		}
-		// DIM shows the structural presolve's work: reduced dual rows
-		// over full variables, with "-Nb" for closed-form buckets.
+		// DIM shows the dual rows the optimizer ran on over the full
+		// variable count.
 		dim := "-"
-		if r.ReducedDualDim > 0 || r.EliminatedBkts > 0 {
+		if r.ReducedDualDim > 0 {
 			dim = fmt.Sprintf("%d/%d", r.ReducedDualDim, r.Variables)
-			if r.EliminatedBkts > 0 {
-				dim += fmt.Sprintf("-%db", r.EliminatedBkts)
-			}
 		}
 		// DELTA shows an incremental solve's split: components reused
 		// verbatim from the chained baseline over components re-solved.

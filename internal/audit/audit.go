@@ -114,15 +114,10 @@ type SolveAudit struct {
 	// zero-drift comparison is exactly how kernel parity is certified.
 	Workers       int `json:"workers,omitempty"`
 	KernelWorkers int `json:"kernel_workers,omitempty"`
-	// ReducedDualDim and EliminatedBuckets record the structural
-	// presolve's reduction (maxent.Options.Reduce): the dual dimension
-	// the numeric core actually solved and the buckets assigned the
-	// closed-form posterior. Informational provenance like Workers: a
-	// reduced and a full solve of the same problem must agree on every
-	// numerical field while legitimately differing here — that zero-drift
-	// comparison is exactly how the reduction's parity is certified.
-	ReducedDualDim    int `json:"reduced_dual_dim,omitempty"`
-	EliminatedBuckets int `json:"eliminated_buckets,omitempty"`
+	// ReducedDualDim is the presolved row count the optimizer ran on
+	// (maxent.Stats.ReducedDualDim), informational provenance like
+	// Workers.
+	ReducedDualDim int `json:"reduced_dual_dim,omitempty"`
 	// Build stamps the binary's build provenance (version+commit, see
 	// internal/buildinfo) and RequestID the serving request that asked
 	// for the audit (empty for offline runs). Like Workers above, both
@@ -176,16 +171,15 @@ func New(sys *constraint.System, sol *maxent.Solution, opts Options) *SolveAudit
 	opts = opts.withDefaults()
 	sp := sys.Space()
 	a := &SolveAudit{
-		Converged:         sol.Stats.Converged,
-		Iterations:        sol.Stats.Iterations,
-		Evaluations:       sol.Stats.Evaluations,
-		MaxViolation:      sol.Stats.MaxViolation,
-		Workers:           sol.Stats.Workers,
-		KernelWorkers:     sol.Stats.KernelWorkers,
-		ReducedDualDim:    sol.Stats.ReducedDualDim,
-		EliminatedBuckets: sol.Stats.EliminatedBuckets,
-		Build:             buildinfo.Get().String(),
-		Tolerance:         opts.Tolerance,
+		Converged:      sol.Stats.Converged,
+		Iterations:     sol.Stats.Iterations,
+		Evaluations:    sol.Stats.Evaluations,
+		MaxViolation:   sol.Stats.MaxViolation,
+		Workers:        sol.Stats.Workers,
+		KernelWorkers:  sol.Stats.KernelWorkers,
+		ReducedDualDim: sol.Stats.ReducedDualDim,
+		Build:          buildinfo.Get().String(),
+		Tolerance:      opts.Tolerance,
 	}
 
 	// Residual pass over every original row, grouped by family.

@@ -186,8 +186,8 @@ func RelevantBuckets(sys *System) []int {
 // too: its row still links the buckets in Components, which must know
 // every bucket a row links. Buckets outside the returned set interact
 // with nothing beyond their own invariants, so their posterior is the
-// closed-form within-bucket MaxEnt distribution (Theorem 5) and the
-// structural presolve assigns it without entering the numeric solve.
+// closed-form within-bucket MaxEnt distribution (Theorem 5), which the
+// solver's decomposition assigns without entering the numeric solve.
 func TouchedBuckets(sys *System) []int {
 	return bucketsTouchedBy(sys, func(k Kind) bool {
 		return k != QIInvariant && k != SAInvariant

@@ -59,9 +59,6 @@ type Config struct {
 	// negative (or 1) runs sequentially. The timing figures' solves
 	// themselves are never run concurrently — wall-clock is their y-axis.
 	Workers int
-	// Reduce is passed through to maxent.Options.Reduce: the structural
-	// presolve (closed-form untouched buckets + Schur-reduced dual).
-	Reduce bool
 	// AuditDir, when non-empty, writes one solve-audit JSON per grid
 	// point of the performance figures (7a/7bc) and per algorithm of the
 	// solver ablation into this directory, named after the point
@@ -165,7 +162,6 @@ func (in *Instance) quantifier() *core.Quantifier {
 		Diversity:  in.Config.Diversity,
 		MinSupport: in.Config.MinSupport,
 		Solve: maxent.Options{
-			Reduce: in.Config.Reduce,
 			Solver: solver.Options{MaxIterations: in.Config.MaxIterations, GradTol: 1e-8},
 		},
 	})
@@ -395,7 +391,6 @@ func (in *Instance) solveWithTopK(k int, auditName string) (maxent.Stats, error)
 		}
 	}
 	opts := maxent.Options{
-		Reduce: in.Config.Reduce,
 		Solver: solver.Options{MaxIterations: 3000, GradTol: 1e-6},
 	}
 	opts.CaptureTrace = in.Config.AuditDir != ""
@@ -553,7 +548,6 @@ func CompareAlgorithms(in *Instance, k int, algs []maxent.Algorithm) ([]Algorith
 			Algorithm:    alg,
 			Decompose:    true,
 			CaptureTrace: in.Config.AuditDir != "",
-			Reduce:       in.Config.Reduce,
 			Solver:       solver.Options{MaxIterations: 3000, GradTol: 1e-7},
 		})
 		if err != nil {
@@ -595,7 +589,6 @@ func CompareDecomposition(in *Instance, k int) ([]DecompositionResult, error) {
 			MinSupport:  in.Config.MinSupport,
 			NoDecompose: !dec,
 			Solve: maxent.Options{
-				Reduce: in.Config.Reduce,
 				Solver: solver.Options{MaxIterations: 6000, GradTol: 1e-8},
 			},
 		})

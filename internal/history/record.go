@@ -85,11 +85,9 @@ type SolverSummary struct {
 	MaxViolation float64 `json:"max_violation"`
 	Components   int     `json:"components,omitempty"`
 	Variables    int     `json:"variables,omitempty"`
-	// ReducedDualDim / EliminatedBuckets record the structural
-	// presolve's reduction, so a history can show when a rule-set
-	// revision changed how much of the publication stays closed-form.
-	ReducedDualDim    int `json:"reduced_dual_dim,omitempty"`
-	EliminatedBuckets int `json:"eliminated_buckets,omitempty"`
+	// ReducedDualDim is the presolved row count the optimizer ran on
+	// (maxent.Stats.ReducedDualDim).
+	ReducedDualDim int `json:"reduced_dual_dim,omitempty"`
 	// ReusedComponents / DirtyComponents record a delta solve's split —
 	// components carried over verbatim from the chained baseline versus
 	// re-solved. Both zero for cold solves.

@@ -288,46 +288,3 @@ func TestSolveDeltaFallsBackWithoutBaseline(t *testing.T) {
 		t.Fatal("unconverged baseline was reused")
 	}
 }
-
-// TestSolveDeltaWithReduce composes delta reuse with the structural
-// presolve: the reused component stays a verbatim copy and the dirty
-// component's reduced solve still lands on the cold posterior.
-func TestSolveDeltaWithReduce(t *testing.T) {
-	tbl, d, sp, base := paperSystem(t)
-	_, sa := bucketAndSAOfQID(t, sp, 0)
-	kA := knowledgeFor(tbl, d, 0, sa, 0.5)
-	opts := deltaOpts()
-	opts.Reduce = true
-
-	oldSys := base.Clone()
-	if err := constraint.AddKnowledge(oldSys, kA); err != nil {
-		t.Fatal(err)
-	}
-	oldSol, err := SolveContext(context.Background(), oldSys, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kA2 := kA
-	kA2.P = 0.55
-	newSys := base.Clone()
-	if err := constraint.AddKnowledge(newSys, kA2); err != nil {
-		t.Fatal(err)
-	}
-	cold, err := SolveContext(context.Background(), newSys, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	delta, err := SolveDeltaContext(context.Background(), newSys, &Baseline{Sys: oldSys, Sol: oldSol}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if delta.Stats.DirtyComponents != 1 {
-		t.Fatalf("dirty = %d, want 1", delta.Stats.DirtyComponents)
-	}
-	for i := range cold.X {
-		if math.Abs(delta.X[i]-cold.X[i]) > 1e-6 {
-			t.Fatalf("posterior term %d: delta %v vs cold %v", i, delta.X[i], cold.X[i])
-		}
-	}
-	_ = sp
-}

@@ -19,6 +19,9 @@
 package maxent
 
 import (
+	"math"
+	"slices"
+
 	"privacymaxent/internal/linalg"
 )
 
@@ -109,6 +112,51 @@ func (d *dualObjective) Eval(lambda, grad []float64) float64 {
 	f := sumExp - linalg.Dot(lambda, d.c)
 	d.forBlocks(linalg.NumBlocks(d.a.Rows()), d.gradBlock)
 	return f
+}
+
+// seed builds the warm start for rows from the label-matched multipliers
+// in warm (see Options.WarmStart). It returns nil when no row has a
+// nonzero seed, and also when g(seed) > g(0) = n/e — at λ = 0 each of the
+// n active terms is exp(−1) — in which case evals is 1, the rejected
+// evaluation. NaN fails the test too.
+func (d *dualObjective) seed(rows []rowData, warm map[string]float64) (s *seededDual, evals int) {
+	var lambda []float64
+	for i, row := range rows {
+		if v := warm[row.label]; v != 0 {
+			if lambda == nil {
+				lambda = make([]float64, len(rows))
+			}
+			lambda[i] = v
+		}
+	}
+	if lambda == nil {
+		return nil, 0
+	}
+	grad := make([]float64, len(lambda))
+	f := d.Eval(lambda, grad)
+	if !(f <= float64(d.a.Cols())/math.E) {
+		return nil, 1
+	}
+	return &seededDual{dualObjective: d, lambda: lambda, f: f, grad: grad}, 0
+}
+
+// seededDual is the dual started from an accepted warm seed. The seed
+// guard has already evaluated g there, and every optimizer evaluates its
+// starting point first, so that first Eval returns the guard's value and
+// gradient instead of computing them again.
+type seededDual struct {
+	*dualObjective
+	lambda, grad []float64
+	f            float64
+}
+
+func (s *seededDual) Eval(lambda, grad []float64) float64 {
+	if s.grad != nil && slices.Equal(lambda, s.lambda) {
+		copy(grad, s.grad)
+		s.grad = nil
+		return s.f
+	}
+	return s.dualObjective.Eval(lambda, grad)
 }
 
 // Primal recovers x(λ) into dst (length = number of active variables).

@@ -93,7 +93,7 @@ func SolveWithInequalitiesContext(ctx context.Context, sys *constraint.System, i
 // surviving variables and runs the boxed dual, filling sol.X and the
 // solver counters of sol.Stats.
 func solveBoxed(ctx context.Context, sys *constraint.System, ineqs []Inequality, sol *Solution, opts Options) error {
-	red, err := runPresolve(ctx, len(sol.X), systemRows(sys, nil))
+	red, err := runPresolve(ctx, len(sol.X), systemRows(sys))
 	if err != nil {
 		return err
 	}

@@ -3,12 +3,14 @@ package maxent
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"strconv"
 	"strings"
 	"testing"
 
+	"privacymaxent/internal/assoc"
 	"privacymaxent/internal/bucket"
 	"privacymaxent/internal/constraint"
 	"privacymaxent/internal/dataset"
@@ -239,6 +241,122 @@ func TestDecomposeNoKnowledgeShortCircuits(t *testing.T) {
 	for i := range want {
 		if sol.X[i] != want[i] {
 			t.Fatalf("x[%d] = %g, want closed form %g", i, sol.X[i], want[i])
+		}
+	}
+}
+
+// closedFormGrid is the algorithm grid the closed-form guarantee for
+// irrelevant buckets must hold on: a gradient method, Newton and a
+// scaling method.
+var closedFormGrid = []Algorithm{LBFGS, Newton, GIS}
+
+// fractionalRules returns the mined rules whose knowledge probability is
+// strictly interior. Certain rules (P ∈ {0, 1}) push duals toward the
+// boundary and make convergence a property of the workload, not of the
+// decomposition.
+func fractionalRules(t *testing.T, selected []assoc.Rule) []assoc.Rule {
+	t.Helper()
+	var frac []assoc.Rule
+	for i := range selected {
+		if p := selected[i].Knowledge().P; p > 0.05 && p < 0.95 {
+			frac = append(frac, selected[i])
+		}
+	}
+	if len(frac) < 4 {
+		t.Fatalf("workload mined only %d fractional-confidence rules", len(frac))
+	}
+	return frac
+}
+
+// TestDecomposeIrrelevantBucketsClosedForm: on the Adult workload, every
+// term of a bucket no knowledge row touches keeps the closed form
+// (Theorem 5) bit for bit under decomposition, for every algorithm ×
+// kernel worker combination, and the whole posterior is bit-identical
+// across worker counts within one algorithm.
+func TestDecomposeIrrelevantBucketsClosedForm(t *testing.T) {
+	d, selected := solveWorkload(t)
+	// A handful of rules keeps the touched set small (plenty of
+	// irrelevant buckets to check) and Newton's dense Hessian cheap.
+	sys := workloadSystem(t, d, fractionalRules(t, selected)[:4])
+	sp := sys.Space()
+	uniform := Uniform(sp)
+
+	touched := map[int]bool{}
+	for _, b := range constraint.TouchedBuckets(sys) {
+		touched[b] = true
+	}
+	if len(touched) == 0 || len(touched) == d.NumBuckets() {
+		t.Fatalf("degenerate workload: %d/%d buckets touched", len(touched), d.NumBuckets())
+	}
+
+	for _, alg := range closedFormGrid {
+		var ref []float64
+		for _, kw := range kernelWorkerGrid {
+			name := fmt.Sprintf("%v/kw=%d", alg, kw)
+			sol, err := SolveContext(context.Background(), sys, Options{Algorithm: alg, Decompose: true, Workers: kw})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !sol.Stats.Converged {
+				t.Fatalf("%s: did not converge: %s", name, sol.Stats)
+			}
+			if got, want := sol.Stats.IrrelevantBuckets, d.NumBuckets()-len(touched); got != want {
+				t.Fatalf("%s: IrrelevantBuckets = %d, want %d", name, got, want)
+			}
+			for id := 0; id < sp.Len(); id++ {
+				if touched[sp.Term(id).Bucket] {
+					continue
+				}
+				if sol.X[id] != uniform[id] {
+					t.Fatalf("%s: irrelevant term %d = %v, closed form %v", name, id, sol.X[id], uniform[id])
+				}
+			}
+			if ref == nil {
+				ref = sol.X
+				continue
+			}
+			for id := range ref {
+				if sol.X[id] != ref[id] {
+					t.Fatalf("%s: term %d = %v, differs from kw=%d value %v",
+						name, id, sol.X[id], kernelWorkerGrid[0], ref[id])
+				}
+			}
+		}
+	}
+}
+
+// TestDecomposeAllBucketsIrrelevant: the K = 0 edge case on the Adult
+// workload. Every bucket is irrelevant, no numeric solve runs, and the
+// posterior is the closed form bit for bit on every algorithm × worker
+// combination.
+func TestDecomposeAllBucketsIrrelevant(t *testing.T) {
+	d, _ := solveWorkload(t)
+	sys := workloadSystem(t, d, nil)
+	uniform := Uniform(sys.Space())
+
+	for _, alg := range closedFormGrid {
+		for _, kw := range kernelWorkerGrid {
+			name := fmt.Sprintf("%v/kw=%d", alg, kw)
+			sol, err := SolveContext(context.Background(), sys, Options{Algorithm: alg, Decompose: true, Workers: kw})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !sol.Stats.Converged {
+				t.Fatalf("%s: did not converge", name)
+			}
+			if sol.Stats.IrrelevantBuckets != d.NumBuckets() {
+				t.Fatalf("%s: IrrelevantBuckets = %d, want all %d",
+					name, sol.Stats.IrrelevantBuckets, d.NumBuckets())
+			}
+			if sol.Stats.ReducedDualDim != 0 || sol.Stats.Iterations != 0 {
+				t.Fatalf("%s: numeric solve ran (dim %d, %d iterations) on a knowledge-free system",
+					name, sol.Stats.ReducedDualDim, sol.Stats.Iterations)
+			}
+			for id, want := range uniform {
+				if sol.X[id] != want {
+					t.Fatalf("%s: term %d = %v, closed form %v", name, id, sol.X[id], want)
+				}
+			}
 		}
 	}
 }

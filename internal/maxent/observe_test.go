@@ -250,7 +250,7 @@ func TestLifecycleParity(t *testing.T) {
 			return err
 		},
 		"undecomposed": func(ctx context.Context) error {
-			_, err := SolveContext(ctx, sys, Options{Reduce: true})
+			_, err := SolveContext(ctx, sys, Options{})
 			return err
 		},
 		"delta": func(ctx context.Context) error {

@@ -42,14 +42,11 @@ func rowOf(c *constraint.Constraint) rowData {
 	return rowData{terms: c.Terms, coeffs: c.Coeffs, rhs: c.RHS, label: c.Label, kind: c.Kind}
 }
 
-// systemRows extracts the system's constraints as rowData, keeping only
-// rows accepted by the filter (nil keeps everything).
-func systemRows(sys *constraint.System, keep func(*constraint.Constraint) bool) []rowData {
-	rows := make([]rowData, 0, sys.Len())
-	for i := 0; i < sys.Len(); i++ {
-		if c := sys.At(i); keep == nil || keep(c) {
-			rows = append(rows, rowOf(c))
-		}
+// systemRows extracts the system's constraints as rowData.
+func systemRows(sys *constraint.System) []rowData {
+	rows := make([]rowData, sys.Len())
+	for i := range rows {
+		rows[i] = rowOf(sys.At(i))
 	}
 	return rows
 }

@@ -107,36 +107,24 @@ type Options struct {
 	// auditing) keeps its zero-overhead trace-less behaviour.
 	CaptureTrace bool
 	// WarmStart seeds the dual multipliers λ from a previous solution's
-	// Duals, matched by constraint label. It is purely a performance
-	// hint: the dual is strictly convex, so the minimizer — and hence the
-	// posterior — is identical from any start; a seed taken from a nearby
-	// problem (e.g. the previous grid point of a sweep) just reaches it
-	// in fewer iterations. Rows absent from the seed start at zero, and
-	// seed entries whose labels no longer survive presolve are silently
-	// ignored, so a stale or partial seed is always safe. Only the dual
-	// algorithms (LBFGS, SteepestDescent, Newton) consume the seed; the
-	// scaling algorithms (GIS, IIS) ignore it.
+	// Duals, matched by constraint label; rows absent from the seed start
+	// at zero and seed entries whose labels no longer survive presolve
+	// are ignored. The dual is strictly convex, so the minimizer is the
+	// same from any start and a seed from a nearby problem (the previous
+	// grid point of a sweep) only saves iterations. A seed from a
+	// different problem can start far up the dual, though — multipliers
+	// fitted to knowledge the new system lacks can put x(λ) near overflow
+	// — so two rules keep it from changing the answer. A component starts
+	// from its seed only when g(seed) ≤ g(0) = n_active/e, the value at
+	// the zero start; otherwise it starts at zero, and that evaluation is
+	// counted in Stats.Evaluations. A component that did start from its
+	// seed and still stops unconverged before the iteration cap (a
+	// line-search stall) is solved once more from zero, both attempts
+	// charged to it. A capped solve is never retried: its endpoint depends
+	// on the start either way. Only the dual algorithms (LBFGS,
+	// SteepestDescent, Newton) consume the seed; the scaling algorithms
+	// (GIS, IIS) ignore it.
 	WarmStart []ConstraintDual
-	// Reduce enables the structural presolve (block-structure
-	// elimination). Stage 1: buckets untouched by any knowledge or
-	// individual row keep their closed-form within-bucket posterior
-	// (Theorem 5) and their invariant rows never enter the numeric solve
-	// — this works for every algorithm and also without Decompose.
-	// Stage 2: for the touched buckets, the gradient algorithms (LBFGS,
-	// SteepestDescent) eliminate the bucket-local unit-coefficient
-	// invariant rows analytically, Schur-complement-style, so the numeric
-	// dual's dimension scales with the coupling rows (≈ K knowledge rows
-	// + individual rows) instead of the publication size; see schur.go.
-	// Newton needs the exact Hessian of the reduced dual (per-bucket
-	// Schur complements that can be singular under KeepRedundant) and
-	// GIS/IIS scale original rows, so those algorithms get stage 1 only
-	// and solve the surviving rows with the full dual. Eliminated rows
-	// still report Lagrange multipliers under their original labels
-	// (μ = log of the recovered scaling), so audits, binding-rule
-	// rankings and warm-start reuse are unaffected. Off by default: the
-	// reduced path converges to the same posterior within solver
-	// tolerance but is not bit-identical to the full dual.
-	Reduce bool
 }
 
 // warmMap indexes the warm-start seed by constraint label; nil when no
@@ -382,58 +370,36 @@ func maxViolationOf(cons []constraint.Constraint, x []float64) float64 {
 // system's constraints. The system must contain the data invariants (and
 // any knowledge constraints); zero-invariants are implicit in the space.
 // With Decompose the components are the connected components of the
-// touched buckets (componentRows); otherwise the whole system — under
-// Reduce, only the touched buckets' rows — is one component. The
+// touched buckets (componentRows) and the untouched buckets keep their
+// closed form; otherwise the whole system is one component. The
 // context's tracer receives a "maxent.solve" span (with presolve,
 // decomposition and per-component child spans) and its registry the
 // solve metrics.
 func SolveContext(ctx context.Context, sys *constraint.System, opts Options) (*Solution, error) {
 	return solveSystem(ctx, "maxent.solve", sys, opts, false, func(ctx context.Context, sol *Solution, touched []int) []solveComponent {
-		if opts.Decompose {
-			_, span := telemetry.Start(ctx, "maxent.decompose")
-			comps := componentRows(sys, touched)
-			attrs := sol.decomposition(len(touched), len(comps))
-			span.SetAttr(attrs...)
-			span.End()
-			emit(ctx, "decompose", attrs...)
-			return comps
+		if !opts.Decompose {
+			return []solveComponent{{rows: systemRows(sys)}}
 		}
-		// Without decomposition, stage 1 still applies: the invariant rows
-		// of untouched buckets drop out of the numeric system and those
-		// buckets keep the closed-form posterior sol.X was initialized with
-		// (Theorem 5). Coupling rows always survive, so the reduced system
-		// remains exactly the system the paper's dual solves over the
-		// touched buckets.
-		var keep func(*constraint.Constraint) bool
-		if sol.Stats.EliminatedBuckets > 0 {
-			touchedSet := make(map[int]bool, len(touched))
-			for _, b := range touched {
-				touchedSet[b] = true
-			}
-			sp := sys.Space()
-			keep = func(c *constraint.Constraint) bool {
-				if !isInvariant(c.Kind) || len(c.Terms) == 0 {
-					return true
-				}
-				// Invariant rows are bucket-local, so the first term names
-				// the bucket.
-				return touchedSet[sp.Term(c.Terms[0]).Bucket]
-			}
-		}
-		return []solveComponent{{rows: systemRows(sys, keep)}}
+		_, span := telemetry.Start(ctx, "maxent.decompose")
+		comps := componentRows(sys, touched)
+		attrs := sol.decomposition(len(touched), len(comps))
+		span.SetAttr(attrs...)
+		span.End()
+		emit(ctx, "decompose", attrs...)
+		return comps
 	})
 }
 
 // solveSystem runs one equality solve of sys through the shared driver:
 // build turns the system into the component list, given the buckets some
-// coupling row touches (computed when Reduce or Decompose needs them).
-// delta marks the incremental entry point in the solve.start event.
+// coupling row touches (computed only under Decompose). delta marks the
+// incremental entry point in the solve.start event.
 func solveSystem(ctx context.Context, span string, sys *constraint.System, opts Options, delta bool,
 	build func(ctx context.Context, sol *Solution, touched []int) []solveComponent) (*Solution, error) {
 	sp := sys.Space()
 	buckets := sp.Data().NumBuckets()
 	var touched []int
-	if opts.Reduce || opts.Decompose {
+	if opts.Decompose {
 		touched = constraint.TouchedBuckets(sys)
 	}
 	sol := &Solution{space: sp, X: Uniform(sp)}
@@ -447,13 +413,6 @@ func solveSystem(ctx context.Context, span string, sys *constraint.System, opts 
 	start = append(start,
 		telemetry.Int("variables", sp.Len()),
 		telemetry.Int("constraints", sys.Len()))
-	if opts.Reduce {
-		// Structural presolve stage 1: announced with solve.start, so the
-		// live introspection layer sees the eliminated-bucket count while
-		// the numeric solve is still in flight.
-		sol.Stats.EliminatedBuckets = buckets - len(touched)
-		start = append(start, telemetry.Int("eliminated_buckets", sol.Stats.EliminatedBuckets))
-	}
 	err := runSolve(ctx, span, start, &sol.Stats, buckets, func(ctx context.Context) error {
 		if err := solveComponents(ctx, sol, build(ctx, sol, touched), opts, opts.Decompose); err != nil {
 			return err
@@ -497,12 +456,6 @@ func runPresolve(ctx context.Context, n int, rows []rowData) (*reduced, error) {
 		telemetry.Int("fixed", red.numFixed()),
 		telemetry.Int("active", len(red.active)))
 	return red, nil
-}
-
-// isInvariant reports whether a row kind is a bucket-local data
-// invariant; every other kind is a coupling row that may link buckets.
-func isInvariant(k constraint.Kind) bool {
-	return k == constraint.QIInvariant || k == constraint.SAInvariant
 }
 
 // componentRows turns the system's connected components over the
@@ -665,19 +618,6 @@ func solveComponents(ctx context.Context, sol *Solution, components []solveCompo
 				// sol.X (disjoint across components) and local stats.
 				ls := &Solution{X: sol.X}
 				err = solveReduced(cctx, ls, red, warm, opts, kernelRunner(cctx, p), ci)
-				if err == nil && comp.dirty && !ls.Stats.Converged && len(warm) > 0 && cancelCtx.Err() == nil {
-					// A stale baseline dual can steer the line search into a
-					// stall the cold path avoids. The warm start is a pure
-					// performance hint, so retry this component once from
-					// scratch and keep the retry's result, charging both
-					// attempts' work to the component.
-					retry := &Solution{X: sol.X}
-					if err = solveReduced(cctx, retry, red, nil, opts, kernelRunner(cctx, p), ci); err == nil {
-						retry.Stats.Iterations += ls.Stats.Iterations
-						retry.Stats.Evaluations += ls.Stats.Evaluations
-						ls = retry
-					}
-				}
 				local.Iterations = ls.Stats.Iterations
 				local.Evaluations = ls.Stats.Evaluations
 				local.Converged = ls.Stats.Converged
@@ -761,10 +701,11 @@ func solveComponents(ctx context.Context, sol *Solution, components []solveCompo
 
 // solveReduced runs the selected algorithm on the presolved system and
 // writes the active variables' values into sol.X. warm, when non-nil,
-// maps constraint labels to dual multipliers used to seed λ (see
-// Options.WarmStart). run, when non-nil, is the block executor the dual
-// kernels shard their work onto; the scaling algorithms (GIS, IIS)
-// ignore it. comp names the decomposition component the reduced system
+// maps constraint labels to dual multipliers used to seed λ, under the
+// seed guard and the single zero-start retry Options.WarmStart
+// describes. run, when non-nil, is the block executor the dual kernels
+// shard their work onto; the scaling algorithms (GIS, IIS) ignore it.
+// comp names the decomposition component the reduced system
 // belongs to (0 when not decomposed) and labels the live-progress
 // signal. The context's registry receives an iteration counter — and
 // the context's solve observer the per-iteration progress feed — via
@@ -862,67 +803,42 @@ func solveReduced(ctx context.Context, sol *Solution, red *reduced, warm map[str
 		if run != nil {
 			sol.Stats.KernelWorkers = opts.workerCount()
 		}
-		// Structural presolve stage 2: for the gradient algorithms,
-		// eliminate the bucket-local invariant rows analytically and run
-		// the optimizer on the coupling rows alone. Newton keeps the full
-		// dual (its exact Hessian does not survive the elimination), and
-		// a system with nothing eliminable falls through too. A reduced
-		// solve that stops short of its tolerance — boundary-pathological
-		// systems (P = 0/1 knowledge pushes duals toward infinity) degrade
-		// the inner scaling sweeps — is not returned as-is: the full dual
-		// polishes it, warm-started from the recovered multipliers, so
-		// Reduce never delivers worse feasibility than the full path.
-		if opts.Reduce && opts.Algorithm != Newton {
-			if schur := newSchurObjective(a, rhs, red.rows); schur != nil {
-				if err := solveSchur(sol, schur, red, warm, opts, run, xActive); err != nil {
-					return err
-				}
-				if sol.Stats.Converged {
-					for pos, j := range red.active {
-						sol.X[j] = xActive[pos]
-					}
-					return nil
-				}
-				// warm may be shared across concurrent component solves;
-				// rebind, never mutate.
-				warm = make(map[string]float64, len(sol.Duals))
-				for _, du := range sol.Duals {
-					warm[du.Label] = du.Lambda
-				}
-				sol.Duals = sol.Duals[:0]
-			}
-		}
 		obj := newDualObjective(a, rhs)
 		obj.setRunner(run)
 		defer obj.release()
 		sol.Stats.ReducedDualDim = a.Rows()
-		lambda0 := make([]float64, a.Rows())
-		if warm != nil {
-			for i, row := range red.rows {
-				if v, ok := warm[row.label]; ok {
-					lambda0[i] = v
-				}
+		optimize := func(f solver.HessianObjective, lambda0 []float64) (solver.Result, error) {
+			switch opts.Algorithm {
+			case LBFGS:
+				return solver.LBFGS(f, lambda0, opts.Solver)
+			case Newton:
+				return solver.Newton(f, lambda0, opts.Solver)
+			default:
+				return solver.SteepestDescent(f, lambda0, opts.Solver)
 			}
 		}
+		seeded, guardEvals := obj.seed(red.rows, warm)
 		var res solver.Result
 		var err error
-		switch opts.Algorithm {
-		case LBFGS:
-			res, err = solver.LBFGS(obj, lambda0, opts.Solver)
-		case Newton:
-			res, err = solver.Newton(obj, lambda0, opts.Solver)
-		default:
-			res, err = solver.SteepestDescent(obj, lambda0, opts.Solver)
+		if seeded != nil {
+			res, err = optimize(seeded, seeded.lambda)
+		}
+		if seeded == nil || (err == nil && !res.Converged && res.Iterations < opts.Solver.IterationCap()) {
+			// Start from zero when no seed was accepted, or once more when
+			// the seeded run stalled before the cap. The counts of both runs
+			// add up, and the trajectory keeps both, so its length still
+			// matches Stats.Iterations.
+			warmRes := res
+			res, err = optimize(obj, make([]float64, a.Rows()))
+			res.Iterations += warmRes.Iterations
+			res.Evaluations += warmRes.Evaluations
 		}
 		if err != nil {
 			return fmt.Errorf("maxent: dual optimization: %w", err)
 		}
 		obj.Primal(res.X, xActive)
-		// += not =: a polished reduced solve accumulates its Schur
-		// iterations (zero otherwise), keeping len(Trajectory) ==
-		// Stats.Iterations under CaptureTrace.
-		sol.Stats.Iterations += res.Iterations
-		sol.Stats.Evaluations += res.Evaluations
+		sol.Stats.Iterations = res.Iterations
+		sol.Stats.Evaluations = res.Evaluations + guardEvals
 		sol.Stats.Converged = res.Converged
 		for i, row := range red.rows {
 			sol.Duals = append(sol.Duals, ConstraintDual{Label: row.label, Kind: row.kind, Lambda: res.X[i]})

@@ -43,16 +43,9 @@ type Stats struct {
 	// or the algorithm has none (GIS/IIS); see Options.Workers.
 	KernelWorkers int
 	// ReducedDualDim is the dimension of the dual problem the numeric
-	// optimizer actually ran on, summed over components. Without
-	// Options.Reduce it equals the presolved row count; with it, only the
-	// coupling rows (knowledge + individual) remain after the
-	// Schur-style elimination of bucket-local invariants.
+	// optimizer ran on, summed over components: the row count presolve
+	// left, one multiplier per surviving row.
 	ReducedDualDim int
-	// EliminatedBuckets counts buckets the structural presolve
-	// (Options.Reduce) assigned their closed-form within-bucket posterior
-	// without entering the numeric solve — the paper's irrelevant buckets
-	// (Definition 5.6, Theorem 5), detected on the assembled system.
-	EliminatedBuckets int
 	// ReusedComponents counts decomposition components a delta solve
 	// (SolveDeltaContext) carried over verbatim from its baseline — identical
 	// rows, so the converged posterior slice and duals transfer with
@@ -81,11 +74,8 @@ func (s Stats) String() string {
 	if s.KernelWorkers > 1 && s.KernelWorkers != s.Workers {
 		out += fmt.Sprintf(", %d kernel workers", s.KernelWorkers)
 	}
-	if s.EliminatedBuckets > 0 || s.ReducedDualDim > 0 {
+	if s.ReducedDualDim > 0 {
 		out += fmt.Sprintf(", reduced dual dim %d", s.ReducedDualDim)
-	}
-	if s.EliminatedBuckets > 0 {
-		out += fmt.Sprintf(", %d buckets closed-form", s.EliminatedBuckets)
 	}
 	if s.ReusedComponents > 0 || s.DirtyComponents > 0 {
 		out += fmt.Sprintf(", delta %d reused/%d dirty", s.ReusedComponents, s.DirtyComponents)
@@ -107,7 +97,6 @@ func (s *Stats) Merge(o Stats) {
 	s.IrrelevantBuckets += o.IrrelevantBuckets
 	s.Components += o.Components
 	s.ReducedDualDim += o.ReducedDualDim
-	s.EliminatedBuckets += o.EliminatedBuckets
 	s.ReusedComponents += o.ReusedComponents
 	s.DirtyComponents += o.DirtyComponents
 	s.Converged = s.Converged && o.Converged
@@ -135,7 +124,6 @@ func (s Stats) attrs() []telemetry.Attr {
 		telemetry.Int("workers", s.Workers),
 		telemetry.Int("kernel_workers", s.KernelWorkers),
 		telemetry.Int("reduced_dual_dim", s.ReducedDualDim),
-		telemetry.Int("eliminated_buckets", s.EliminatedBuckets),
 		telemetry.Int("reused_components", s.ReusedComponents),
 		telemetry.Int("dirty_components", s.DirtyComponents),
 		telemetry.Bool("converged", s.Converged),
@@ -159,9 +147,6 @@ func (s Stats) record(reg *telemetry.Registry, totalBuckets int) {
 	reg.Gauge("pmaxent_solve_workers").Set(float64(s.Workers))
 	reg.Gauge("pmaxent_solve_kernel_workers").Set(float64(s.KernelWorkers))
 	reg.Histogram("pmaxent_solve_reduced_dual_dim", telemetry.CountBuckets).Observe(float64(s.ReducedDualDim))
-	if s.EliminatedBuckets > 0 {
-		reg.Counter("pmaxent_solve_eliminated_buckets_total").Add(int64(s.EliminatedBuckets))
-	}
 	if s.ReusedComponents > 0 {
 		reg.Counter("pmaxent_solve_reused_components_total").Add(int64(s.ReusedComponents))
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"privacymaxent/internal/assoc"
 	"privacymaxent/internal/bucket"
 	"privacymaxent/internal/constraint"
 	"privacymaxent/internal/dataset"
@@ -388,5 +389,112 @@ func TestPooledScratchRace(t *testing.T) {
 		if err != nil {
 			t.Fatalf("goroutine %d: %v", g, err)
 		}
+	}
+}
+
+// TestWarmSeedNeverChangesAnswer: a seed fitted to other knowledge can
+// start the dual far above its minimum — multipliers of rules the target
+// lacks put x(λ) near overflow, and the first line search stalls there.
+// The seed guard and the zero-start retry must keep every warm solve on
+// the cold answer: for every ordered pair of small Top-(k+,k−) sets on
+// the Adult workload, the target seeded with the source's converged
+// duals converges to its cold joint within 1e-8, and so does the target
+// seeded with its own duals with one row pushed up by 100.
+func TestWarmSeedNeverChangesAnswer(t *testing.T) {
+	d, selected := solveWorkload(t)
+	opts := Options{Decompose: true}
+	var systems []*constraint.System
+	var cold []*Solution
+	for kp := 0; kp <= 2; kp++ {
+		for kn := 0; kn <= 2; kn++ {
+			if kp+kn == 0 {
+				continue
+			}
+			sys := workloadSystem(t, d, assoc.TopK(selected, kp, kn))
+			sol, err := SolveContext(context.Background(), sys, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sol.Stats.Converged {
+				t.Fatalf("Top-(%d,%d) does not converge cold: %s", kp, kn, sol.Stats)
+			}
+			systems = append(systems, sys)
+			cold = append(cold, sol)
+		}
+	}
+	check := func(name string, target int, seed []ConstraintDual) {
+		t.Helper()
+		warmOpts := opts
+		warmOpts.WarmStart = seed
+		sol, err := SolveContext(context.Background(), systems[target], warmOpts)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !sol.Stats.Converged {
+			t.Fatalf("%s: warm solve did not converge: %s", name, sol.Stats)
+		}
+		if diff := maxAbsDiff(sol.X, cold[target].X); diff > 1e-8 {
+			t.Fatalf("%s: warm joint differs from cold by %g", name, diff)
+		}
+	}
+	for target := range systems {
+		for source := range systems {
+			check(fmt.Sprintf("set %d seeded from set %d", target, source), target, cold[source].Duals)
+		}
+		pushed := append([]ConstraintDual(nil), cold[target].Duals...)
+		pushed[len(pushed)-1].Lambda += 100
+		check(fmt.Sprintf("set %d seeded with a pushed row", target), target, pushed)
+	}
+}
+
+// TestWarmRetryOnlyBeforeCap pins the retry rule of Options.WarmStart.
+// A warm solve that stalls before the iteration cap — forced here by a
+// gradient tolerance no float64 solve meets, so the line search stalls
+// — is solved once more from zero: its joint is the zero start's bit for
+// bit, and both attempts are charged to the iterations, evaluations and
+// trajectory. A warm solve that reaches the cap is returned as it is.
+func TestWarmRetryOnlyBeforeCap(t *testing.T) {
+	w := newWorkload(t, 7)
+	sys := w.system(t, w.ks)
+	ref, err := SolveContext(context.Background(), sys, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	unreachable := solver.Options{GradTol: 1e-300}
+	cold, err := SolveContext(context.Background(), sys, Options{CaptureTrace: true, Solver: unreachable})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.Stats.Converged || cold.Stats.Iterations >= unreachable.IterationCap() {
+		t.Fatalf("zero start should stall before the cap: %s", cold.Stats)
+	}
+	warm, err := SolveContext(context.Background(), sys, Options{CaptureTrace: true, Solver: unreachable, WarmStart: ref.Duals})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range cold.X {
+		if warm.X[i] != cold.X[i] {
+			t.Fatalf("term %d: retried warm solve %v, zero start %v", i, warm.X[i], cold.X[i])
+		}
+	}
+	if warm.Stats.Iterations < cold.Stats.Iterations || warm.Stats.Evaluations <= cold.Stats.Evaluations {
+		t.Fatalf("warm attempt not charged: warm %s, zero start %s", warm.Stats, cold.Stats)
+	}
+	if len(warm.Trajectory) != warm.Stats.Iterations {
+		t.Fatalf("trajectory has %d points for %d iterations", len(warm.Trajectory), warm.Stats.Iterations)
+	}
+
+	// Halfway between zero and the optimum, the seed passes the guard by
+	// convexity but cannot converge in 3 iterations.
+	half := append([]ConstraintDual(nil), ref.Duals...)
+	for i := range half {
+		half[i].Lambda /= 2
+	}
+	capped, err := SolveContext(context.Background(), sys, Options{WarmStart: half, Solver: solver.Options{MaxIterations: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if capped.Stats.Converged || capped.Stats.Iterations != 3 {
+		t.Fatalf("capped warm solve: %s, want 3 unconverged iterations and no retry", capped.Stats)
 	}
 }

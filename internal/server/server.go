@@ -333,16 +333,15 @@ func (s *Server) declareMetrics() {
 	}
 	// The pipeline-level pmaxent_* families are recorded by internal/core
 	// and internal/maxent against the same registry; several only fire on
-	// particular code paths (decomposed solves, non-convergence, the
-	// structural presolve), so declare them all here for the same
-	// scrape-stability reason.
+	// particular code paths (decomposed solves, non-convergence, delta
+	// solves), so declare them all here for the same scrape-stability
+	// reason.
 	for name, help := range map[string]string{
 		"pmaxent_bucketize_total":                     "Bucketize pipeline runs.",
 		"pmaxent_mine_total":                          "Rule-mining pipeline runs.",
 		"pmaxent_quantify_total":                      "Quantification pipeline runs.",
 		"pmaxent_solve_total":                         "Maximum-entropy solves.",
 		"pmaxent_solve_unconverged_total":             "Solves that hit the iteration cap before converging.",
-		"pmaxent_solve_eliminated_buckets_total":      "Buckets the structural presolve solved in closed form.",
 		"pmaxent_solve_reused_components_total":       "Components delta solves carried over verbatim from their baseline.",
 		"pmaxent_solve_dirty_components_total":        "Components delta solves re-solved as changed or new.",
 		"pmaxent_dual_iterations_total":               "Dual-optimizer iterations across all solves.",
@@ -377,7 +376,7 @@ func (s *Server) declareMetrics() {
 		"pmaxent_solve_evaluations":          "Objective evaluations per solve.",
 		"pmaxent_solve_active_variables":     "Active variables per solve.",
 		"pmaxent_component_active_variables": "Active variables per decomposed component.",
-		"pmaxent_solve_reduced_dual_dim":     "Numeric dual dimension after the structural presolve.",
+		"pmaxent_solve_reduced_dual_dim":     "Dual dimension the optimizer ran on after presolve.",
 	} {
 		s.reg.Histogram(name, telemetry.CountBuckets)
 		s.reg.SetHelp(name, help)
@@ -880,17 +879,16 @@ func (s *Server) recordHistory(ls *liveSolve, meta *callMeta, solveErr error) {
 		}
 		st := rep.Solution.Stats
 		rec.Solver = &history.SolverSummary{
-			Algorithm:         s.q.Config().Solve.Algorithm.String(),
-			Iterations:        st.Iterations,
-			Evaluations:       st.Evaluations,
-			Converged:         st.Converged,
-			MaxViolation:      st.MaxViolation,
-			Components:        st.Components,
-			Variables:         int(ls.variables.Load()),
-			ReducedDualDim:    st.ReducedDualDim,
-			EliminatedBuckets: st.EliminatedBuckets,
-			ReusedComponents:  st.ReusedComponents,
-			DirtyComponents:   st.DirtyComponents,
+			Algorithm:        s.q.Config().Solve.Algorithm.String(),
+			Iterations:       st.Iterations,
+			Evaluations:      st.Evaluations,
+			Converged:        st.Converged,
+			MaxViolation:     st.MaxViolation,
+			Components:       st.Components,
+			Variables:        int(ls.variables.Load()),
+			ReducedDualDim:   st.ReducedDualDim,
+			ReusedComponents: st.ReusedComponents,
+			DirtyComponents:  st.DirtyComponents,
 		}
 		if a := rep.Audit; a != nil {
 			rec.AuditSummary = &history.AuditSummary{

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -13,6 +14,8 @@ import (
 	"testing"
 	"time"
 
+	"privacymaxent/internal/adult"
+	"privacymaxent/internal/assoc"
 	"privacymaxent/internal/audit"
 	"privacymaxent/internal/bucket"
 	"privacymaxent/internal/constraint"
@@ -222,6 +225,71 @@ func TestQuantifyCacheHit(t *testing.T) {
 	if r1.MaxDisclosure != r2.MaxDisclosure || r1.PosteriorEntropyBits != r2.PosteriorEntropyBits {
 		t.Fatalf("scores diverge across cache states: (%g, %g) vs (%g, %g)",
 			r1.MaxDisclosure, r1.PosteriorEntropyBits, r2.MaxDisclosure, r2.PosteriorEntropyBits)
+	}
+}
+
+// TestWarmSeedKeepsAnswer: the daemon seeds every solve with the duals
+// of its view's last converged solve, whatever knowledge that solve had.
+// On this 1,000-record Adult view, Top-(1,2)'s duals start a Top-(1,0)
+// solve near overflow; the repeated Top-(1,0) request must still return
+// the first response's posterior.
+func TestWarmSeedKeepsAnswer(t *testing.T) {
+	tbl := adult.Generate(adult.Config{Records: 1000, Seed: 21003})
+	d, _, err := bucket.Anatomize(tbl, bucket.Options{L: 5, ExemptMostFrequent: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rules, err := assoc.Mine(tbl, assoc.Options{MinSupport: 3, Sizes: []int{1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pub bytes.Buffer
+	if err := bucket.WriteJSON(&pub, d); err != nil {
+		t.Fatal(err)
+	}
+	topK := func(kPos, kNeg int) string {
+		top := assoc.TopK(rules, kPos, kNeg)
+		ks := make([]constraint.DistributionKnowledge, len(top))
+		for i := range top {
+			ks[i] = top[i].Knowledge()
+		}
+		var b bytes.Buffer
+		if err := constraint.WriteKnowledgeJSON(&b, d.Schema(), ks); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	ts := httptest.NewServer(New(Config{}))
+	defer ts.Close()
+	quantify := func(knowledge string) QuantifyResponse {
+		t.Helper()
+		resp, raw := postQuantify(t, ts, "/v1/quantify", quantifyBody(pub.Bytes(), knowledge))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status = %d: %s", resp.StatusCode, raw)
+		}
+		var r QuantifyResponse
+		if err := json.Unmarshal(raw, &r); err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+
+	target := topK(1, 0)
+	first := quantify(target)
+	quantify(topK(1, 2))
+	again := quantify(target)
+	if !first.Solver.Converged || !again.Solver.Converged {
+		t.Fatalf("converged: first %v, after another set %v (%+v)", first.Solver.Converged, again.Solver.Converged, again.Solver)
+	}
+	if len(again.Posterior) != len(first.Posterior) {
+		t.Fatalf("posterior rows: %d, want %d", len(again.Posterior), len(first.Posterior))
+	}
+	for i, row := range first.Posterior {
+		for s, p := range row.P {
+			if diff := math.Abs(again.Posterior[i].P[s] - p); diff > 1e-9 {
+				t.Fatalf("row %d P(%s) = %v after another set, %v before", i, s, again.Posterior[i].P[s], p)
+			}
+		}
 	}
 }
 

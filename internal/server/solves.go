@@ -82,8 +82,7 @@ type liveSolve struct {
 	componentsDone atomic.Int64
 	componentsTot  atomic.Int64
 	variables      atomic.Int64
-	reducedDim     atomic.Int64 // numeric dual dimension (structural presolve)
-	eliminated     atomic.Int64 // buckets closed-formed by the presolve
+	reducedDim     atomic.Int64 // presolved row count the optimizer ran on
 	reusedComps    atomic.Int64 // components copied from a delta baseline
 	dirtyComps     atomic.Int64 // components a delta solve re-solved
 	lastFrameNS    atomic.Int64 // unix-nano of the last iteration frame
@@ -110,10 +109,6 @@ func (ls *liveSolve) SolveEvent(name string, attrs ...telemetry.Attr) {
 				if v, ok := a.Value.(int); ok {
 					ls.variables.Store(int64(v))
 				}
-			case "eliminated_buckets":
-				if v, ok := a.Value.(int); ok {
-					ls.eliminated.Store(int64(v))
-				}
 			}
 		}
 	case "solve.done":
@@ -122,10 +117,6 @@ func (ls *liveSolve) SolveEvent(name string, attrs ...telemetry.Attr) {
 			case "reduced_dual_dim":
 				if v, ok := a.Value.(int); ok {
 					ls.reducedDim.Store(int64(v))
-				}
-			case "eliminated_buckets":
-				if v, ok := a.Value.(int); ok {
-					ls.eliminated.Store(int64(v))
 				}
 			case "reused_components":
 				if v, ok := a.Value.(int); ok {
@@ -284,7 +275,6 @@ func (ls *liveSolve) status() SolveStatus {
 		ComponentsDone:   ls.componentsDone.Load(),
 		ComponentsTotal:  ls.componentsTot.Load(),
 		ReducedDualDim:   ls.reducedDim.Load(),
-		EliminatedBucket: ls.eliminated.Load(),
 		ReusedComponents: ls.reusedComps.Load(),
 		DirtyComponents:  ls.dirtyComps.Load(),
 		QueueWaitMS:      float64(queueWait.Nanoseconds()) / 1e6,
@@ -423,7 +413,6 @@ func (r *solveRegistry) adopt(rec history.Record) {
 		ls.componentsTot.Store(int64(s.Components))
 		ls.componentsDone.Store(int64(s.Components))
 		ls.reducedDim.Store(int64(s.ReducedDualDim))
-		ls.eliminated.Store(int64(s.EliminatedBuckets))
 		ls.reusedComps.Store(int64(s.ReusedComponents))
 		ls.dirtyComps.Store(int64(s.DirtyComponents))
 	}

@@ -70,11 +70,9 @@ type SolverStats struct {
 	Converged    bool    `json:"converged"`
 	MaxViolation float64 `json:"max_violation"`
 	Components   int     `json:"components,omitempty"`
-	// ReducedDualDim is the dual dimension the numeric core actually
-	// solved; EliminatedBuckets counts buckets the structural presolve
-	// (Options.Reduce) assigned the closed-form posterior.
-	ReducedDualDim    int `json:"reduced_dual_dim,omitempty"`
-	EliminatedBuckets int `json:"eliminated_buckets,omitempty"`
+	// ReducedDualDim is the presolved row count the optimizer ran on
+	// (maxent.Stats.ReducedDualDim).
+	ReducedDualDim int `json:"reduced_dual_dim,omitempty"`
 	// ReusedComponents / DirtyComponents report a delta solve's split:
 	// components copied verbatim from the chained baseline versus
 	// components re-solved. Both zero for cold solves.
@@ -164,11 +162,9 @@ type SolveStatus struct {
 	// (both 0 for non-decomposed solves until events arrive).
 	ComponentsDone  int64 `json:"components_done"`
 	ComponentsTotal int64 `json:"components_total"`
-	// ReducedDualDim / EliminatedBucket mirror the structural presolve's
-	// reduction: eliminated buckets arrive with solve.start, the numeric
-	// dual dimension with solve.done.
-	ReducedDualDim   int64 `json:"reduced_dual_dim,omitempty"`
-	EliminatedBucket int64 `json:"eliminated_buckets,omitempty"`
+	// ReducedDualDim is the presolved row count the optimizer ran on; it
+	// arrives with solve.done.
+	ReducedDualDim int64 `json:"reduced_dual_dim,omitempty"`
 	// ReusedComponents / DirtyComponents arrive with a delta solve's
 	// solve.done event; both 0 for cold solves.
 	ReusedComponents int64 `json:"reused_components,omitempty"`
@@ -341,16 +337,15 @@ func responseFields(digest, cacheState string, eps float64, rep *core.Report, al
 		MaxDisclosure:        rep.MaxDisclosure,
 		PosteriorEntropyBits: rep.PosteriorEntropy,
 		Solver: SolverStats{
-			Algorithm:         alg.String(),
-			Iterations:        st.Iterations,
-			Evaluations:       st.Evaluations,
-			Converged:         st.Converged,
-			MaxViolation:      st.MaxViolation,
-			Components:        st.Components,
-			ReducedDualDim:    st.ReducedDualDim,
-			EliminatedBuckets: st.EliminatedBuckets,
-			ReusedComponents:  st.ReusedComponents,
-			DirtyComponents:   st.DirtyComponents,
+			Algorithm:        alg.String(),
+			Iterations:       st.Iterations,
+			Evaluations:      st.Evaluations,
+			Converged:        st.Converged,
+			MaxViolation:     st.MaxViolation,
+			Components:       st.Components,
+			ReducedDualDim:   st.ReducedDualDim,
+			ReusedComponents: st.ReusedComponents,
+			DirtyComponents:  st.DirtyComponents,
 		},
 		Audit: rep.Audit,
 	}

@@ -13,11 +13,9 @@ import (
 
 // Objective is a smooth function f: ℝⁿ → ℝ with gradient. Eval must write
 // the gradient at x into grad (len == Dim) and return f(x). The
-// optimizers evaluate each point once: an accepted step adopts the line
-// search's evaluation there as the next iterate. An objective that keeps
-// state between calls (the Schur-reduced MaxEnt dual warm-starts its
-// inner scalings) therefore hands the iterate the value and gradient of
-// that call, which can differ from a later call at the same point.
+// optimizers evaluate each point once, their starting point first: an
+// accepted step adopts the line search's evaluation there as the next
+// iterate.
 //
 // The optimizers call Eval from a single goroutine, but Eval itself may
 // be internally parallel (the MaxEnt dual shards its kernels over a
@@ -98,6 +96,11 @@ type TraceEvent struct {
 	// makes 1 + Σ LineSearchEvals evaluations in all.
 	LineSearchEvals int
 }
+
+// IterationCap is the outer-iteration budget a run with these options
+// gets: MaxIterations, or its default when unset. A run that stops
+// unconverged with fewer iterations ended in a line-search stall.
+func (o Options) IterationCap() int { return o.withDefaults().MaxIterations }
 
 func (o Options) withDefaults() Options {
 	if o.MaxIterations <= 0 {

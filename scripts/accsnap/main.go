@@ -32,17 +32,6 @@ func die(err error) {
 	}
 }
 
-// setBoolField assigns a bool field by name when the struct has it. Like
-// the Converged reflection below, this keeps the source compiling in
-// baseline checkouts that predate the field: the Reduce knob is set per
-// tree through PMAXENT_REDUCE, and a tree without it simply ignores it.
-func setBoolField(ptr any, name string, val bool) {
-	f := reflect.ValueOf(ptr).Elem().FieldByName(name)
-	if f.IsValid() && f.CanSet() && f.Kind() == reflect.Bool {
-		f.SetBool(val)
-	}
-}
-
 // deltaParity is the PMAXENT_DELTA cross-check: solve the
 // BenchmarkDeltaResolve workload (invariants + Top-(25,25), top rule
 // held out of the baseline) both cold and through maxent.SolveDeltaContext, and
@@ -124,12 +113,9 @@ func deltaParity(in *experiments.Instance, opts maxent.Options) (map[string]any,
 }
 
 func main() {
-	reduce := os.Getenv("PMAXENT_REDUCE") == "1"
 	deltaCheck := os.Getenv("PMAXENT_DELTA") == "1"
 
-	cfg := experiments.Config{Records: 2000, Seed: 1, MaxRuleSize: 2}
-	setBoolField(&cfg, "Reduce", reduce)
-	in, err := experiments.NewInstance(cfg)
+	in, err := experiments.NewInstance(experiments.Config{Records: 2000, Seed: 1, MaxRuleSize: 2})
 	die(err)
 
 	// The BenchmarkSolveWithKnowledge workload: invariants + Top-(50,50).
@@ -142,7 +128,6 @@ func main() {
 		die(sys.Add(c))
 	}
 	solveOpts := maxent.Options{Decompose: true}
-	setBoolField(&solveOpts, "Reduce", reduce)
 	sol, err := maxent.SolveContext(context.Background(), sys, solveOpts)
 	die(err)
 	post := sol.Posterior()

@@ -19,15 +19,12 @@
 // beyond -rtol/-atol, a knowledge rule entering or leaving the binding
 // set, or an iteration count off by more than -iter-slack.
 //
-// Provenance fields (workers, kernel_workers, reduced_dual_dim,
-// eliminated_buckets, build, request_id) are deliberately excluded
-// from the comparison: the solver's blocked kernels are bit-deterministic
-// at any worker count, so auditing one solve run serially (GOMAXPROCS=1)
-// and once with GOMAXPROCS=N and diffing the snapshots must report zero
-// drift — that clean diff is the parity certificate for the parallel
-// kernels.
-// The same holds for the structural presolve: a -reduce audit against a
-// full-dual audit of one problem certifies the reduction's parity.
+// Provenance fields (workers, kernel_workers, reduced_dual_dim, build,
+// request_id) are deliberately excluded from the comparison: the
+// solver's blocked kernels are bit-deterministic at any worker count, so
+// auditing one solve run serially (GOMAXPROCS=1) and once with
+// GOMAXPROCS=N and diffing the snapshots must report zero drift — that
+// clean diff is the parity certificate for the parallel kernels.
 package main
 
 import (
