@@ -8,7 +8,7 @@
 //
 //	pmaxent -input data.csv -sa Disease [-id Name,SSN] [-l 5] \
 //	        [-kpos 50] [-kneg 50] [-minsupport 3] [-sizes 1,2] \
-//	        [-algorithm lbfgs] [-top 10] [-publish out.json] \
+//	        [-algorithm auto] [-top 10] [-publish out.json] \
 //	        [-export-knowledge k.json]
 //	    Bucketize the CSV to L-diversity with the Anatomy method, mine the
 //	    Top-(K+, K−) strongest association rules from the original data as
@@ -18,7 +18,7 @@
 //	    -publish saves the published view; -export-knowledge saves the
 //	    applied knowledge statements for auditing and replay.
 //
-//	pmaxent -published out.json [-knowledge k.json] [-algorithm lbfgs] [-top 10]
+//	pmaxent -published out.json [-knowledge k.json] [-algorithm auto] [-top 10]
 //	    Re-analyze an existing publication without the original data:
 //	    knowledge comes from a JSON statement file
 //	    ([{"if": {"Gender": "male"}, "then": "Breast Cancer", "p": 0}, ...]).
@@ -88,7 +88,7 @@ func main() {
 	flag.IntVar(&o.kNeg, "kneg", 0, "number of negative association rules the adversary knows (K-)")
 	flag.IntVar(&o.minSupport, "minsupport", 3, "minimum association-rule support (records)")
 	flag.StringVar(&o.sizes, "sizes", "", "comma-separated QI-subset sizes to mine (default: all)")
-	flag.StringVar(&o.algorithm, "algorithm", "lbfgs", "dual solver: lbfgs, gis, iis, steepest, newton")
+	flag.StringVar(&o.algorithm, "algorithm", "auto", "dual solver: auto (Newton or LBFGS per component), lbfgs, gis, iis, steepest, newton")
 	flag.IntVar(&o.top, "top", 10, "number of riskiest QI tuples to print")
 	flag.BoolVar(&o.demo, "demo", false, "run on the paper's built-in example instead of a file")
 	flag.BoolVar(&o.trace, "trace", false, "emit a JSON-lines span trace and metrics snapshot to stderr")

@@ -2,7 +2,7 @@
 //
 //	pmaxentd [-addr :8080] [-cache 16] [-max-inflight N] [-queue N]
 //	         [-timeout 60s] [-retry-after 1s] [-drain-timeout 30s]
-//	         [-algorithm lbfgs]
+//	         [-algorithm auto]
 //	         [-delta]
 //	         [-history-dir DIR] [-history-retention 65536] [-history-fsync 1s]
 //	         [-done-ring 32] [-sse-keepalive 15s]
@@ -104,7 +104,7 @@ func main() {
 	flag.DurationVar(&o.timeout, "timeout", 60*time.Second, "per-solve budget and cap on client timeout_ms")
 	flag.DurationVar(&o.retryAfter, "retry-after", time.Second, "Retry-After hint on 429/503 responses")
 	flag.DurationVar(&o.drainTimeout, "drain-timeout", 30*time.Second, "how long SIGTERM waits for in-flight solves before force-canceling")
-	flag.StringVar(&o.algorithm, "algorithm", "lbfgs", "dual solver: lbfgs, gis, iis, steepest, newton")
+	flag.StringVar(&o.algorithm, "algorithm", "auto", "dual solver: auto (Newton or LBFGS per component), lbfgs, gis, iis, steepest, newton")
 	flag.BoolVar(&o.delta, "delta", false, "chain delta baselines per publication: \"delta\": true requests re-solve only constraint components changed since the last converged solve")
 	flag.StringVar(&o.historyDir, "history-dir", "", "durable solve-history journal directory (empty disables /v1/history)")
 	flag.IntVar(&o.historyKeep, "history-retention", 65536, "minimum journal records kept on disk before old segments are deleted")

@@ -390,8 +390,11 @@ func (in *Instance) solveWithTopK(k int, auditName string) (maxent.Stats, error)
 			return maxent.Stats{}, err
 		}
 	}
+	// Figure 7 measures the paper's LBFGS, so the method is pinned rather
+	// than left to Auto's per-component choice.
 	opts := maxent.Options{
-		Solver: solver.Options{MaxIterations: 3000, GradTol: 1e-6},
+		Algorithm: maxent.LBFGS,
+		Solver:    solver.Options{MaxIterations: 3000, GradTol: 1e-6},
 	}
 	opts.CaptureTrace = in.Config.AuditDir != ""
 	sol, err := maxent.SolveContext(context.Background(), sys, opts)
@@ -542,8 +545,8 @@ func CompareAlgorithms(in *Instance, k int, algs []maxent.Algorithm) ([]Algorith
 	}
 	var out []AlgorithmResult
 	for _, alg := range algs {
-		// Decompose so Newton's dense Hessian only sees the relevant
-		// buckets' constraints.
+		// Decompose so each method only sees the relevant buckets'
+		// constraints.
 		sol, err := maxent.SolveContext(context.Background(), sys, maxent.Options{
 			Algorithm:    alg,
 			Decompose:    true,

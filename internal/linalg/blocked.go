@@ -58,6 +58,13 @@ func (m *CSR) Columns() ColView {
 // Cols reports the column count of the underlying matrix.
 func (v ColView) Cols() int { return v.m.numCols }
 
+// Col returns the row indices (ascending) and values of column c. The
+// slices alias the view's storage and must not be modified.
+func (v ColView) Col(c int) (rows []int, vals []float64) {
+	lo, hi := v.t.colPtr[c], v.t.colPtr[c+1]
+	return v.t.rowIdx[lo:hi:hi], v.t.vals[lo:hi:hi]
+}
+
 // Dot returns the dot product of column c with x: (Aᵀx)_c.
 func (v ColView) Dot(c int, x []float64) float64 {
 	lo, hi := v.t.colPtr[c], v.t.colPtr[c+1]

@@ -44,8 +44,8 @@ type dualObjective struct {
 	cols    linalg.ColView // CSC view the fused kernel gathers from
 	c       []float64      // right-hand sides, length m
 	scratch *dualScratch
-	hessOK  bool          // scratch.touch/coeff hold this matrix's adjacency
 	run     linalg.Runner // block executor; nil runs blocks serially
+	step    *newtonStep   // Newton's step solver; nil for the other methods
 
 	// The two block kernels are bound once, so Eval and Primal hand
 	// forBlocks no per-call closure (one would escape to the heap on
@@ -188,50 +188,8 @@ func (d *dualObjective) gradKernel(b int) {
 	}
 }
 
-// hessAdjacency returns, for each variable, the rows touching it and
-// their coefficients. The adjacency depends only on the constraint
-// matrix, so it is built once per objective (on pooled buffers) and
-// reused across Newton iterations instead of rebuilt per Hessian call.
-func (d *dualObjective) hessAdjacency() ([][]int, [][]float64) {
-	s := d.scratch
-	if !d.hessOK {
-		s.touch = growIntRows(s.touch, d.a.Cols())
-		s.coeff = growFloatRows(s.coeff, d.a.Cols())
-		for r := 0; r < d.a.Rows(); r++ {
-			cols, vals := d.a.Row(r)
-			for k, cIdx := range cols {
-				s.touch[cIdx] = append(s.touch[cIdx], r)
-				s.coeff[cIdx] = append(s.coeff[cIdx], vals[k])
-			}
-		}
-		d.hessOK = true
-	}
-	return s.touch, s.coeff
-}
-
-// Hessian writes ∇²g(λ) = A·diag(x(λ))·Aᵀ into h, enabling Newton's
-// method on duals with few constraints.
-func (d *dualObjective) Hessian(lambda []float64, h [][]float64) {
-	s := d.scratch
-	d.Primal(lambda, s.x)
-	m := d.a.Rows()
-	for i := 0; i < m; i++ {
-		row := h[i]
-		for k := range row {
-			row[k] = 0
-		}
-	}
-	// Accumulate Σ_j x_j a_j a_jᵀ column by column: for every variable j,
-	// the rows touching it contribute pairwise products.
-	touch, coeff := d.hessAdjacency()
-	for j := range touch {
-		xj := s.x[j]
-		rows := touch[j]
-		cs := coeff[j]
-		for a := range rows {
-			for b := range rows {
-				h[rows[a]][rows[b]] += xj * cs[a] * cs[b]
-			}
-		}
-	}
+// NewtonStep solves the Newton system H·dir = −g at λ with the
+// structured step (newton.go); it implements solver.StepObjective.
+func (d *dualObjective) NewtonStep(lambda, g, dir []float64) bool {
+	return d.step.solve(lambda, g, dir)
 }

@@ -503,7 +503,7 @@ func TestKnowledgeReducesEntropy(t *testing.T) {
 }
 
 func TestAlgorithmString(t *testing.T) {
-	if LBFGS.String() != "lbfgs" || SteepestDescent.String() != "steepest" || GIS.String() != "gis" || Newton.String() != "newton" || IIS.String() != "iis" {
+	if Auto.String() != "auto" || LBFGS.String() != "lbfgs" || SteepestDescent.String() != "steepest" || GIS.String() != "gis" || Newton.String() != "newton" || IIS.String() != "iis" {
 		t.Fatal("Algorithm.String mismatch")
 	}
 	if got := Algorithm(9).String(); got != "Algorithm(9)" {
@@ -511,11 +511,11 @@ func TestAlgorithmString(t *testing.T) {
 	}
 }
 
-// TestParseAlgorithm: ParseAlgorithm inverts String for all five
-// algorithms in any case, maps the empty name to the LBFGS default and
+// TestParseAlgorithm: ParseAlgorithm inverts String for all six
+// algorithms in any case, maps the empty name to the Auto default and
 // rejects unknown names.
 func TestParseAlgorithm(t *testing.T) {
-	for _, alg := range []Algorithm{LBFGS, SteepestDescent, GIS, Newton, IIS} {
+	for _, alg := range []Algorithm{Auto, LBFGS, SteepestDescent, GIS, Newton, IIS} {
 		for _, name := range []string{alg.String(), strings.ToUpper(alg.String())} {
 			got, err := ParseAlgorithm(name)
 			if err != nil || got != alg {
@@ -523,8 +523,8 @@ func TestParseAlgorithm(t *testing.T) {
 			}
 		}
 	}
-	if got, err := ParseAlgorithm(""); err != nil || got != LBFGS {
-		t.Errorf("ParseAlgorithm(\"\") = %v, %v; want lbfgs", got, err)
+	if got, err := ParseAlgorithm(""); err != nil || got != Auto {
+		t.Errorf("ParseAlgorithm(\"\") = %v, %v; want auto", got, err)
 	}
 	if _, err := ParseAlgorithm("simplex"); err == nil || !strings.Contains(err.Error(), `"simplex"`) {
 		t.Fatalf("unknown algorithm: err = %v", err)
@@ -716,57 +716,16 @@ func TestParallelComponentsMatchSequential(t *testing.T) {
 	}
 }
 
-// TestDualHessianMatchesFiniteDifferences validates the analytic Hessian
-// A·diag(x(λ))·Aᵀ that Newton's method consumes.
-func TestDualHessianMatchesFiniteDifferences(t *testing.T) {
-	_, _, _, sys := paperSystem(t)
-	m, rhs := sys.Matrix()
-	obj := newDualObjective(m, rhs)
-	dim := obj.Dim()
-	rng := rand.New(rand.NewSource(6))
-	lambda := make([]float64, dim)
-	for i := range lambda {
-		lambda[i] = rng.NormFloat64() * 0.1
-	}
-	h := make([][]float64, dim)
-	for i := range h {
-		h[i] = make([]float64, dim)
-	}
-	obj.Hessian(lambda, h)
-
-	const eps = 1e-6
-	gPlus := make([]float64, dim)
-	gMinus := make([]float64, dim)
-	pt := make([]float64, dim)
-	for j := 0; j < dim; j++ {
-		copy(pt, lambda)
-		pt[j] += eps
-		obj.Eval(pt, gPlus)
-		pt[j] -= 2 * eps
-		obj.Eval(pt, gMinus)
-		for i := 0; i < dim; i++ {
-			fd := (gPlus[i] - gMinus[i]) / (2 * eps)
-			if math.Abs(fd-h[i][j]) > 1e-4*(1+math.Abs(fd)) {
-				t.Fatalf("H[%d][%d] = %g, finite diff %g", i, j, h[i][j], fd)
-			}
-		}
-	}
-	// Symmetry.
-	for i := 0; i < dim; i++ {
-		for j := 0; j < dim; j++ {
-			if math.Abs(h[i][j]-h[j][i]) > 1e-12 {
-				t.Fatalf("Hessian asymmetric at (%d,%d)", i, j)
-			}
-		}
-	}
-}
-
 // TestDualEvalAllocationFree: once its scratch is sized, the dual's Eval
 // and Primal allocate nothing, with or without a Runner, so the
-// optimizer's iteration loop stays allocation-free.
+// optimizer's iteration loop stays allocation-free. Neither does a
+// Newton step once its buffers are sized — on this unpresolved system
+// its Schur complement is singular at λ = 0, so that covers the ridge
+// retries too.
 func TestDualEvalAllocationFree(t *testing.T) {
 	d, selected := solveWorkload(t)
-	m, rhs := workloadSystem(t, d, selected).Matrix()
+	sys := workloadSystem(t, d, selected)
+	m, rhs := sys.Matrix()
 	serial := func(n int, fn func(int)) {
 		for i := 0; i < n; i++ {
 			fn(i)
@@ -775,14 +734,22 @@ func TestDualEvalAllocationFree(t *testing.T) {
 	for name, run := range map[string]linalg.Runner{"nil": nil, "serial": serial} {
 		obj := newDualObjective(m, rhs)
 		obj.setRunner(run)
+		obj.step = newNewtonStep(obj, systemRows(sys))
 		lambda := make([]float64, obj.Dim())
 		grad := make([]float64, obj.Dim())
+		dir := make([]float64, obj.Dim())
 		x := make([]float64, m.Cols())
 		if n := testing.AllocsPerRun(20, func() { obj.Eval(lambda, grad) }); n != 0 {
 			t.Errorf("%s runner: Eval allocates %v times per call", name, n)
 		}
 		if n := testing.AllocsPerRun(20, func() { obj.Primal(lambda, x) }); n != 0 {
 			t.Errorf("%s runner: Primal allocates %v times per call", name, n)
+		}
+		if !obj.NewtonStep(lambda, grad, dir) { // sizes the step's buffers
+			t.Fatalf("%s runner: step solve failed", name)
+		}
+		if n := testing.AllocsPerRun(20, func() { obj.NewtonStep(lambda, grad, dir) }); n != 0 {
+			t.Errorf("%s runner: NewtonStep allocates %v times per call", name, n)
 		}
 		obj.release()
 	}

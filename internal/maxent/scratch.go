@@ -3,26 +3,22 @@ package maxent
 import "sync"
 
 // dualScratch holds the work buffers of one dual solve: the primal
-// x(λ) vector, the per-block partition partial sums of the fused
-// exp/partition kernel, plus the Hessian's column adjacency (which rows
-// touch each variable, with what coefficient). Sweeps solve the
-// same-shaped dual dozens of times, so the buffers are pooled across
-// solves instead of reallocated; a solve takes a scratch from the pool
+// x(λ) vector and the per-block partition partial sums of the fused
+// exp/partition kernel. Sweeps solve the same-shaped dual dozens of
+// times, so the buffers are pooled across solves instead of
+// reallocated; a solve takes a scratch from the pool
 // in newDualObjective and returns it via release. Buffers are never
 // zeroed on reuse — every consumer fully overwrites them.
 type dualScratch struct {
 	x         []float64
 	blockSums []float64
-	touch     [][]int
-	coeff     [][]float64
 }
 
 var dualScratchPool = sync.Pool{New: func() any { return new(dualScratch) }}
 
 // newDualScratch takes a scratch from the pool and sizes the primal
 // buffer for n active variables. The block-sum buffer is sized by Eval
-// (it depends on the block partition) and the Hessian adjacency lazily
-// by hessAdjacency, since only Newton needs it.
+// (it depends on the block partition).
 func newDualScratch(n int) *dualScratch {
 	s := dualScratchPool.Get().(*dualScratch)
 	s.x = growFloats(s.x, n)
@@ -39,34 +35,4 @@ func growFloats(buf []float64, n int) []float64 {
 		return make([]float64, n)
 	}
 	return buf[:n]
-}
-
-// growIntRows resizes buf to n empty rows, keeping each row's capacity.
-func growIntRows(buf [][]int, n int) [][]int {
-	if cap(buf) < n {
-		grown := make([][]int, n)
-		copy(grown, buf)
-		buf = grown
-	} else {
-		buf = buf[:n]
-	}
-	for i := range buf {
-		buf[i] = buf[i][:0]
-	}
-	return buf
-}
-
-// growFloatRows resizes buf to n empty rows, keeping each row's capacity.
-func growFloatRows(buf [][]float64, n int) [][]float64 {
-	if cap(buf) < n {
-		grown := make([][]float64, n)
-		copy(grown, buf)
-		buf = grown
-	} else {
-		buf = buf[:n]
-	}
-	for i := range buf {
-		buf[i] = buf[i][:0]
-	}
-	return buf
 }

@@ -20,16 +20,22 @@ import (
 type Algorithm int
 
 const (
-	// LBFGS is the paper's choice (Nocedal's limited-memory BFGS) and
-	// the default.
-	LBFGS Algorithm = iota
+	// Auto, the default, picks a dual method per decomposition component:
+	// the structured Newton step for components with 32 to 512 coupling
+	// (knowledge) rows, LBFGS for the rest (DESIGN §6.7). A component
+	// whose Newton run stops unconverged before the iteration cap is
+	// solved once more by LBFGS from zero, both runs charged to it.
+	Auto Algorithm = iota
+	// LBFGS is the paper's choice (Nocedal's limited-memory BFGS).
+	LBFGS
 	// SteepestDescent is the slow first-order baseline.
 	SteepestDescent
 	// GIS is Darroch & Ratcliff's generalized iterative scaling, one of
 	// the maxent-specific methods the paper cites (Sec. 3.3).
 	GIS
-	// Newton is the damped Newton method (dense Hessian + Cholesky);
-	// suited to duals with few constraints.
+	// Newton is the damped Newton method, on every component. Its step
+	// eliminates the bucket blocks of the Hessian and factors the k×k
+	// Schur complement over the k coupling rows, so a step costs O(k³).
 	Newton
 	// IIS is Della Pietra et al.'s improved iterative scaling, the other
 	// maxent-specific method the paper cites (Sec. 3.3).
@@ -39,6 +45,8 @@ const (
 // String names the algorithm.
 func (a Algorithm) String() string {
 	switch a {
+	case Auto:
+		return "auto"
 	case LBFGS:
 		return "lbfgs"
 	case SteepestDescent:
@@ -55,22 +63,22 @@ func (a Algorithm) String() string {
 }
 
 // ParseAlgorithm is the inverse of String, ignoring case; the empty name
-// selects the default, LBFGS.
+// selects the default, Auto.
 func ParseAlgorithm(name string) (Algorithm, error) {
 	if name == "" {
-		return LBFGS, nil
+		return Auto, nil
 	}
-	for a := LBFGS; a <= IIS; a++ {
+	for a := Auto; a <= IIS; a++ {
 		if strings.EqualFold(name, a.String()) {
 			return a, nil
 		}
 	}
-	return 0, fmt.Errorf("unknown algorithm %q (want lbfgs, gis, iis, steepest or newton)", name)
+	return 0, fmt.Errorf("unknown algorithm %q (want auto, lbfgs, gis, iis, steepest or newton)", name)
 }
 
 // Options configures SolveContext and its siblings.
 type Options struct {
-	// Algorithm picks the dual solver; default LBFGS.
+	// Algorithm picks the dual solver; default Auto.
 	Algorithm Algorithm
 	// Solver tunes the underlying optimizer.
 	Solver solver.Options
@@ -97,8 +105,9 @@ type Options struct {
 	// the reduction order are functions of the problem shape, never of
 	// the worker count), so Workers trades wall-clock only, never
 	// numerics. The kernel width is recorded in Stats.KernelWorkers.
-	// Only the dual algorithms (LBFGS, SteepestDescent, Newton) have
-	// data-parallel kernels; GIS and IIS run serially regardless.
+	// Only the dual algorithms (Auto, LBFGS, SteepestDescent, Newton)
+	// have data-parallel kernels; GIS and IIS run serially regardless.
+	// Newton's step solve runs on the component's goroutine.
 	Workers int
 	// CaptureTrace records the full convergence trajectory — one
 	// TracePoint per optimizer iteration — into Solution.Trajectory, the
@@ -121,7 +130,7 @@ type Options struct {
 	// seed and still stops unconverged before the iteration cap (a
 	// line-search stall) is solved once more from zero, both attempts
 	// charged to it. A capped solve is never retried: its endpoint depends
-	// on the start either way. Only the dual algorithms (LBFGS,
+	// on the start either way. Only the dual algorithms (Auto, LBFGS,
 	// SteepestDescent, Newton) consume the seed; the scaling algorithms
 	// (GIS, IIS) ignore it.
 	WarmStart []ConstraintDual
@@ -798,7 +807,7 @@ func solveReduced(ctx context.Context, sol *Solution, red *reduced, warm map[str
 		// No explicit iteration-counter add here: the scaling loops fire
 		// the (telemetry-wrapped) trace callback once per round, so the
 		// pmaxent_dual_iterations_total series is already fed.
-	case LBFGS, SteepestDescent, Newton:
+	case Auto, LBFGS, SteepestDescent, Newton:
 		sol.Stats.KernelWorkers = 1
 		if run != nil {
 			sol.Stats.KernelWorkers = opts.workerCount()
@@ -807,8 +816,10 @@ func solveReduced(ctx context.Context, sol *Solution, red *reduced, warm map[str
 		obj.setRunner(run)
 		defer obj.release()
 		sol.Stats.ReducedDualDim = a.Rows()
-		optimize := func(f solver.HessianObjective, lambda0 []float64) (solver.Result, error) {
-			switch opts.Algorithm {
+		alg, step := componentMethod(opts.Algorithm, obj, red.rows)
+		obj.step = step
+		optimize := func(alg Algorithm, f solver.StepObjective, lambda0 []float64) (solver.Result, error) {
+			switch alg {
 			case LBFGS:
 				return solver.LBFGS(f, lambda0, opts.Solver)
 			case Newton:
@@ -821,17 +832,24 @@ func solveReduced(ctx context.Context, sol *Solution, red *reduced, warm map[str
 		var res solver.Result
 		var err error
 		if seeded != nil {
-			res, err = optimize(seeded, seeded.lambda)
+			res, err = optimize(alg, seeded, seeded.lambda)
+		} else {
+			res, err = optimize(alg, obj, make([]float64, a.Rows()))
 		}
-		if seeded == nil || (err == nil && !res.Converged && res.Iterations < opts.Solver.IterationCap()) {
-			// Start from zero when no seed was accepted, or once more when
-			// the seeded run stalled before the cap. The counts of both runs
-			// add up, and the trajectory keeps both, so its length still
-			// matches Stats.Iterations.
-			warmRes := res
-			res, err = optimize(obj, make([]float64, a.Rows()))
-			res.Iterations += warmRes.Iterations
-			res.Evaluations += warmRes.Evaluations
+		// A run that stops unconverged before the cap (a stall) is solved
+		// once more from zero when it started from a seed, or when Auto
+		// picked Newton for it — then by LBFGS. The counts of both runs add
+		// up, and the trajectory keeps both, so its length still matches
+		// Stats.Iterations.
+		retry := alg
+		if opts.Algorithm == Auto {
+			retry = LBFGS
+		}
+		if err == nil && !res.Converged && res.Iterations < opts.Solver.IterationCap() && (seeded != nil || retry != alg) {
+			first := res
+			res, err = optimize(retry, obj, make([]float64, a.Rows()))
+			res.Iterations += first.Iterations
+			res.Evaluations += first.Evaluations
 		}
 		if err != nil {
 			return fmt.Errorf("maxent: dual optimization: %w", err)

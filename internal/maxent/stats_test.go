@@ -72,6 +72,13 @@ func TestWorkersDefault(t *testing.T) {
 // invariants plus Top-K mined knowledge.
 func solveWorkload(t testing.TB) (*bucket.Bucketized, []assoc.Rule) {
 	t.Helper()
+	d, rules := workloadRules(t)
+	return d, assoc.TopK(rules, 20, 20)
+}
+
+// workloadRules is solveWorkload's bucketization with every mined rule.
+func workloadRules(t testing.TB) (*bucket.Bucketized, []assoc.Rule) {
+	t.Helper()
 	tbl := adult.Generate(adult.Config{Records: 600, Seed: 1})
 	d, _, err := bucket.Anatomize(tbl, bucket.Options{L: 5, ExemptMostFrequent: true})
 	if err != nil {
@@ -81,7 +88,7 @@ func solveWorkload(t testing.TB) (*bucket.Bucketized, []assoc.Rule) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d, assoc.TopK(rules, 20, 20)
+	return d, rules
 }
 
 func workloadSystem(t testing.TB, d *bucket.Bucketized, selected []assoc.Rule) *constraint.System {

@@ -341,7 +341,7 @@ func (s *Server) declareMetrics() {
 		"pmaxent_mine_total":                          "Rule-mining pipeline runs.",
 		"pmaxent_quantify_total":                      "Quantification pipeline runs.",
 		"pmaxent_solve_total":                         "Maximum-entropy solves.",
-		"pmaxent_solve_unconverged_total":             "Solves that hit the iteration cap before converging.",
+		"pmaxent_solve_unconverged_total":             "Solves that stopped unconverged, at the iteration cap or on a line-search stall.",
 		"pmaxent_solve_reused_components_total":       "Components delta solves carried over verbatim from their baseline.",
 		"pmaxent_solve_dirty_components_total":        "Components delta solves re-solved as changed or new.",
 		"pmaxent_dual_iterations_total":               "Dual-optimizer iterations across all solves.",

@@ -9,13 +9,13 @@ import (
 
 // countingObjective counts the Eval calls made on the objective it wraps.
 type countingObjective struct {
-	HessianObjective
+	StepObjective
 	calls int
 }
 
 func (c *countingObjective) Eval(x, grad []float64) float64 {
 	c.calls++
-	return c.HessianObjective.Eval(x, grad)
+	return c.StepObjective.Eval(x, grad)
 }
 
 // TestEvaluationsMatchEvalCalls: Result.Evaluations counts real Eval
@@ -33,18 +33,18 @@ func TestEvaluationsMatchEvalCalls(t *testing.T) {
 			c[i] += row[i] * v
 		}
 	}
-	optimizers := map[string]func(HessianObjective, []float64, Options) (Result, error){
-		"lbfgs": func(o HessianObjective, x0 []float64, opts Options) (Result, error) {
+	optimizers := map[string]func(StepObjective, []float64, Options) (Result, error){
+		"lbfgs": func(o StepObjective, x0 []float64, opts Options) (Result, error) {
 			return LBFGS(o, x0, opts)
 		},
-		"steepest": func(o HessianObjective, x0 []float64, opts Options) (Result, error) {
+		"steepest": func(o StepObjective, x0 []float64, opts Options) (Result, error) {
 			return SteepestDescent(o, x0, opts)
 		},
 		"newton": Newton,
 	}
 	for name, run := range optimizers {
 		for _, capped := range []bool{false, true} {
-			obj := &countingObjective{HessianObjective: &expSumH{expSum{a: a, c: c}}}
+			obj := &countingObjective{StepObjective: &expSumH{expSum{a: a, c: c}}}
 			var lsEvals int
 			opts := Options{MaxIterations: 10000, GradTol: 1e-8, Trace: func(ev TraceEvent) {
 				lsEvals += ev.LineSearchEvals
@@ -74,7 +74,7 @@ func TestEvaluationsMatchEvalCalls(t *testing.T) {
 // and value it adopts are bit for bit what evaluating x + step·d afresh
 // gives.
 func TestAcceptAdoptsLastEvaluation(t *testing.T) {
-	q := &countingObjective{HessianObjective: &quadraticH{quadratic{w: []float64{1, 10}, c: []float64{2, -1}}}}
+	q := &countingObjective{StepObjective: &quadraticH{quadratic{w: []float64{1, 10}, c: []float64{2, -1}}}}
 	base := []float64{5, 5}
 	d := []float64{-1, -3}
 	lf := newLineFunc(q, base, d)
@@ -90,7 +90,7 @@ func TestAcceptAdoptsLastEvaluation(t *testing.T) {
 	wx := linalg.CopyOf(base)
 	linalg.Axpy(step, d, wx)
 	wg := make([]float64, 2)
-	wf := q.HessianObjective.Eval(wx, wg)
+	wf := q.StepObjective.Eval(wx, wg)
 	if f != wf || x[0] != wx[0] || x[1] != wx[1] || g[0] != wg[0] || g[1] != wg[1] {
 		t.Fatalf("accept = f %g x %v g %v, want f %g x %v g %v", f, x, g, wf, wx, wg)
 	}

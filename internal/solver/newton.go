@@ -6,24 +6,26 @@ import (
 	"privacymaxent/internal/linalg"
 )
 
-// HessianObjective is an Objective that can also produce its dense
-// Hessian. Newton's method — one of the classic options the paper lists
-// for the ME dual (Sec. 3.3) — needs it; the MaxEnt dual's Hessian is
-// A·diag(x(λ))·Aᵀ, cheap when the constraint count is small.
-type HessianObjective interface {
+// StepObjective is an Objective that solves its own Newton system.
+// Newton's method — one of the classic options the paper lists for the
+// ME dual (Sec. 3.3) — needs the direction d with ∇²f(x)·d = −∇f(x);
+// the MaxEnt dual's Hessian A·diag(x(λ))·Aᵀ has a block structure its
+// objective exploits, so the objective, not the optimizer, owns the
+// linear algebra.
+type StepObjective interface {
 	Objective
-	// Hessian writes ∇²f(x) into h, a Dim×Dim dense matrix whose rows
-	// are preallocated by the caller.
-	Hessian(x []float64, h [][]float64)
+	// NewtonStep writes into d a solution of ∇²f(x)·d = −g, where g is
+	// the gradient at x, and reports whether it found one. It must be a
+	// pure function of x and g, like Eval.
+	NewtonStep(x, g, d []float64) bool
 }
 
-// Newton minimizes the objective with a damped Newton method: solve
-// ∇²f d = −∇f by Cholesky, fall back to steepest descent whenever the
-// Hessian is not positive definite, and globalize with the strong-Wolfe
-// line search. Quadratic local convergence makes it take very few
-// iterations on small, well-conditioned duals; the dense O(n³) solve per
-// iteration limits it to modest constraint counts.
-func Newton(obj HessianObjective, x0 []float64, opts Options) (Result, error) {
+// Newton minimizes the objective with a damped Newton method: take the
+// objective's Newton step, fall back to steepest descent whenever the
+// step solve fails or the step is not a descent direction, and globalize
+// with the strong-Wolfe line search. Quadratic local convergence makes it
+// take very few iterations; each one costs a step solve.
+func Newton(obj StepObjective, x0 []float64, opts Options) (Result, error) {
 	opts = opts.withDefaults()
 	n := obj.Dim()
 	start := time.Now()
@@ -32,10 +34,6 @@ func Newton(obj HessianObjective, x0 []float64, opts Options) (Result, error) {
 	g := make([]float64, n)
 	d := make([]float64, n)
 	xPrev := make([]float64, n)
-	h := make([][]float64, n)
-	for i := range h {
-		h[i] = make([]float64, n)
-	}
 
 	f := obj.Eval(x, g)
 	evals := 1
@@ -58,17 +56,13 @@ func Newton(obj HessianObjective, x0 []float64, opts Options) (Result, error) {
 			return Result{X: x, F: f, GradNorm: gNorm, Iterations: iter, Evaluations: evals, Converged: true, Duration: time.Since(start)}, nil
 		}
 
-		// Newton direction: solve H d = −g.
-		obj.Hessian(x, h)
-		copy(d, g)
-		linalg.Scale(-1, d)
-		if _, err := linalg.SolveSPD(h, d); err != nil {
-			// Indefinite or singular Hessian: steepest descent step.
-			copy(d, g)
-			linalg.Scale(-1, d)
+		var dg float64
+		if obj.NewtonStep(x, g, d) && allFinite(d) {
+			dg = linalg.Dot(d, g)
 		}
-		dg := linalg.Dot(d, g)
-		if dg >= 0 {
+		if !(dg < 0) {
+			// Failed step solve, or not a descent direction: steepest
+			// descent step.
 			copy(d, g)
 			linalg.Scale(-1, d)
 			dg = -linalg.Dot(g, g)

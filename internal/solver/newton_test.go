@@ -3,38 +3,41 @@ package solver
 import (
 	"math"
 	"testing"
+
+	"privacymaxent/internal/linalg"
 )
 
-// quadraticH extends quadratic with its (diagonal) Hessian.
+// quadraticH extends quadratic with its Newton step: the Hessian is
+// diag(w), so d = −g/w.
 type quadraticH struct{ quadratic }
 
-func (q *quadraticH) Hessian(x []float64, h [][]float64) {
-	for i := range h {
-		for j := range h[i] {
-			h[i][j] = 0
-		}
-		h[i][i] = q.w[i]
+func (q *quadraticH) NewtonStep(x, g, d []float64) bool {
+	for i := range d {
+		d[i] = -g[i] / q.w[i]
 	}
+	return true
 }
 
-// expSumH extends expSum with its Hessian Σ_j a_j a_jᵀ exp(a_j·x − 1).
+// expSumH extends expSum with its Newton step, solved densely from the
+// Hessian Σ_j a_j a_jᵀ exp(a_j·x − 1).
 type expSumH struct{ expSum }
 
-func (e *expSumH) Hessian(x []float64, h [][]float64) {
+func (e *expSumH) NewtonStep(x, g, d []float64) bool {
 	n := len(e.c)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			h[i][j] = 0
-		}
-	}
+	h := make([]float64, linalg.PackedLen(n))
 	for _, row := range e.a {
 		v := math.Exp(dot(row, x) - 1)
 		for i := range row {
-			for j := range row {
-				h[i][j] += row[i] * row[j] * v
+			for j := 0; j <= i; j++ {
+				h[linalg.PackedRow(i)+j] += row[i] * row[j] * v
 			}
 		}
 	}
+	for i := range d {
+		d[i] = -g[i]
+	}
+	_, err := linalg.SolveSPD(h, d, 1e-12)
+	return err == nil
 }
 
 func TestNewtonQuadraticOneStep(t *testing.T) {
@@ -93,7 +96,7 @@ func TestNewtonExpSum(t *testing.T) {
 
 type nanHessObjective struct{ nanObjective }
 
-func (nanHessObjective) Hessian(x []float64, h [][]float64) {}
+func (nanHessObjective) NewtonStep(x, g, d []float64) bool { return false }
 
 func TestNewtonNonFiniteStart(t *testing.T) {
 	if _, err := Newton(nanHessObjective{}, []float64{0}, Options{}); err != ErrNonFinite {
@@ -101,8 +104,8 @@ func TestNewtonNonFiniteStart(t *testing.T) {
 	}
 }
 
-// indefObjective has a saddle-shaped Hessian so Newton must fall back to
-// gradient descent and still make progress.
+// indefObjective claims a saddle-shaped Hessian, so its step solve fails
+// and Newton must fall back to gradient descent and still make progress.
 type indefObjective struct{}
 
 func (indefObjective) Dim() int { return 2 }
@@ -112,9 +115,11 @@ func (indefObjective) Eval(x, grad []float64) float64 {
 	grad[1] = x[1]
 	return 0.5*(x[0]*x[0]+x[1]*x[1]) + x[0]*x[0]*x[0]*x[0]
 }
-func (indefObjective) Hessian(x []float64, h [][]float64) {
-	h[0][0], h[0][1] = 1, 2
-	h[1][0], h[1][1] = 2, 1 // indefinite
+func (indefObjective) NewtonStep(x, g, d []float64) bool {
+	h := []float64{1, 2, 1} // packed [[1, 2], [2, 1]]: indefinite
+	d[0], d[1] = -g[0], -g[1]
+	_, err := linalg.SolveSPD(h, d, 1e-12)
+	return err == nil
 }
 
 func TestNewtonIndefiniteFallback(t *testing.T) {

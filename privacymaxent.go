@@ -91,7 +91,7 @@ type (
 	SolveOptions = maxent.Options
 	// SolverOptions tunes the numerical optimizer.
 	SolverOptions = solver.Options
-	// Algorithm selects the dual method (LBFGS, GIS, ...).
+	// Algorithm selects the dual method (Auto, LBFGS, GIS, ...).
 	Algorithm = maxent.Algorithm
 	// ConstraintDual pairs a constraint label with its Lagrange
 	// multiplier at the solution; a slice of them (Report.Solution.Duals)
@@ -102,6 +102,7 @@ type (
 
 // Dual algorithms.
 const (
+	Auto            = maxent.Auto
 	LBFGS           = maxent.LBFGS
 	SteepestDescent = maxent.SteepestDescent
 	GIS             = maxent.GIS

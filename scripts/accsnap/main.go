@@ -4,7 +4,10 @@
 // The A/B harness (scripts/benchab) runs it in two checkouts of this
 // repository and diffs the numbers: performance work must leave the
 // posterior untouched, so any EstimationAccuracy drift beyond solver
-// tolerance between the two snapshots fails the comparison.
+// tolerance between the two snapshots fails the comparison. The gate
+// solve's convergence flag and worst constraint residual (max_violation)
+// say whether its accuracy is an optimum or a capped endpoint, which
+// decides how benchab compares it.
 //
 // The workload is fully deterministic (fixed seed, no wall-clock inputs
 // in the solve path), so equal code ⇒ byte-equal snapshots.
@@ -155,6 +158,7 @@ func main() {
 		"estimation_accuracy": acc,
 		"max_disclosure":      metrics.MaxDisclosure(post),
 		"converged":           converged,
+		"max_violation":       sol.Stats.MaxViolation,
 		"iterations":          sol.Stats.Iterations,
 		"figure5_accuracies":  fig5Points,
 		"figure5_converged":   fig5Conv,
