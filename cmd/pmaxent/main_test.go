@@ -85,7 +85,8 @@ func TestRunErrors(t *testing.T) {
 		{input: path, saName: "Nope"}, // missing SA column
 		{algorithm: "simplex"},        // bad algorithm
 		{published: "/no/such/file"},  // bad published path
-		{input: "/no/such.csv", saName: "Disease"}, // bad csv path
+		{input: "/no/such.csv", saName: "Disease"},                      // bad csv path
+		{input: path, saName: "Disease", idNames: "Name", sizes: "1,1"}, // repeated rule size
 	}
 	for i, o := range cases {
 		if o.diversity == 0 {

@@ -7,9 +7,11 @@
 package assoc
 
 import (
+	"cmp"
 	"context"
+	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"privacymaxent/internal/constraint"
@@ -18,6 +20,13 @@ import (
 	"privacymaxent/internal/pool"
 	"privacymaxent/internal/telemetry"
 )
+
+// ErrInvalidOptions marks mining options the table cannot satisfy: a
+// subset size outside [1, number of QI attributes], or a size listed
+// twice (which would mine every subset of that size twice and return
+// each rule twice). Callers that take sizes from a client, like pmaxentd,
+// report it as a bad request.
+var ErrInvalidOptions = errors.New("assoc: invalid options")
 
 // Rule is an association between a QI-subset condition Qv and a sensitive
 // value: positive rules Qv ⇒ s say P(s|Qv) is high; negative rules
@@ -86,13 +95,12 @@ type Options struct {
 	// records"). Values below 1 default to 1.
 	MinSupport int
 	// Sizes lists the QI-subset sizes T to mine (the paper's Figure 6
-	// varies T from 1 to the number of QI attributes). Empty means every
-	// size from 1 to NumQI.
+	// varies T from 1 to the number of QI attributes), each at most once.
+	// Empty means every size from 1 to NumQI.
 	Sizes []int
 	// Workers bounds how many attribute subsets are mined concurrently;
-	// values below 2 mine sequentially. The final rule order is
-	// deterministic either way (rules are fully ordered before Top-K
-	// selection).
+	// values below 2 mine sequentially. The rules are the same, in the
+	// same order, at every worker count.
 	Workers int
 }
 
@@ -107,6 +115,13 @@ func Mine(t *dataset.Table, opts Options) ([]Rule, error) {
 // MineContext is Mine with cancellation: once ctx is done, mining stops
 // between subsets and the context's error is returned. A telemetry span
 // ("assoc.mine") is emitted when a tracer is installed in ctx.
+//
+// The rules come back strongest first: confidence descending, then
+// support descending, then by condition size, by the conditioned
+// attributes and their values (compared position by position), by SA
+// code, and positive before negative. No two rules tie on all of these,
+// so the order, and every Top-K selection from it, is a function of the
+// table and the options alone.
 func MineContext(ctx context.Context, t *dataset.Table, opts Options) ([]Rule, error) {
 	_, span := telemetry.Start(ctx, "assoc.mine",
 		telemetry.Int("records", t.Len()),
@@ -120,23 +135,24 @@ func MineContext(ctx context.Context, t *dataset.Table, opts Options) ([]Rule, e
 	if len(qi) == 0 {
 		return nil, fmt.Errorf("assoc: table has no quasi-identifier attributes")
 	}
-	minSup := opts.MinSupport
-	if minSup < 1 {
-		minSup = 1
-	}
+	minSup := max(opts.MinSupport, 1)
 	sizes := opts.Sizes
 	if len(sizes) == 0 {
 		for k := 1; k <= len(qi); k++ {
 			sizes = append(sizes, k)
 		}
 	}
+	seen := make([]bool, len(qi)+1)
 	for _, k := range sizes {
 		if k < 1 || k > len(qi) {
-			return nil, fmt.Errorf("assoc: subset size %d out of range [1,%d]", k, len(qi))
+			return nil, fmt.Errorf("%w: subset size %d out of range [1,%d]", ErrInvalidOptions, k, len(qi))
 		}
+		if seen[k] {
+			return nil, fmt.Errorf("%w: subset size %d listed twice", ErrInvalidOptions, k)
+		}
+		seen[k] = true
 	}
 
-	// Collect every subset up front so the work can be distributed.
 	var subsets [][]int
 	for _, k := range sizes {
 		forEachSubset(len(qi), k, func(idx []int) {
@@ -148,94 +164,263 @@ func MineContext(ctx context.Context, t *dataset.Table, opts Options) ([]Rule, e
 		})
 	}
 
-	// Subsets are mined independently on the shared worker pool (the same
-	// pool type the solver's component and kernel parallelism draws from)
-	// and merged in subset-enumeration order, so the flattened rule list —
-	// and therefore the sortRules total order and every Top-K selection —
-	// is identical to the sequential path at any worker count.
-	var rules []Rule
-	if opts.Workers < 2 || len(subsets) < 2 {
-		for _, attrs := range subsets {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			rules = append(rules, mineSubset(t, attrs, minSup)...)
-		}
-	} else {
-		perSubset := make([][]Rule, len(subsets))
-		p := pool.New(opts.Workers)
-		p.ParallelFor(ctx, len(subsets), 0, func(i int) {
-			perSubset[i] = mineSubset(t, subsets[i], minSup)
-		})
-		p.Close()
-		// ParallelFor drains without starting new subsets once ctx is
-		// done; a partial perSubset must not masquerade as a full mine.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		for _, rs := range perSubset {
-			rules = append(rules, rs...)
-		}
+	// Subsets are grouped independently on the shared worker pool (the
+	// same pool type the solver's component and kernel parallelism draws
+	// from; below 2 workers it is a plain loop). Each task writes only its
+	// own slot, and merge orders the rules under a total order, so the
+	// result does not depend on which worker grouped which subset.
+	cols := newColumns(t)
+	groups := make([]subsetGroups, len(subsets))
+	p := pool.New(opts.Workers)
+	p.ParallelFor(ctx, len(subsets), 0, func(i int) {
+		groups[i] = cols.group(subsets[i], minSup)
+	})
+	p.Close()
+	// ParallelFor stops starting subsets once ctx is done; a partial
+	// groups slice must not masquerade as a full mine.
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	sortRules(rules)
+	rules := merge(groups, cols.saCard, minSup)
 	span.SetAttr(telemetry.Int("rules", len(rules)))
 	return rules, nil
 }
 
-// mineSubset emits the rules of one QI attribute subset.
-func mineSubset(t *dataset.Table, attrs []int, minSup int) []Rule {
-	saCard := t.Schema().SA().Cardinality()
-	type group struct {
-		values []int
-		count  int
-		perSA  []int
+// columns holds a table's codes column by column, the layout the
+// counting sorts in group read.
+type columns struct {
+	codes  [][]int32 // by schema position; the SA's column is sa
+	cards  []int     // domain size by schema position
+	sa     []int32
+	saCard int
+}
+
+func newColumns(t *dataset.Table) *columns {
+	schema := t.Schema()
+	c := &columns{
+		codes:  make([][]int32, schema.Len()),
+		cards:  make([]int, schema.Len()),
+		saCard: schema.SA().Cardinality(),
 	}
-	groups := map[string]*group{}
-	var keyBuf strings.Builder
+	for _, a := range schema.QIIndices() {
+		c.codes[a] = make([]int32, t.Len())
+		c.cards[a] = schema.Attr(a).Cardinality()
+	}
+	c.sa = make([]int32, t.Len())
 	for row := 0; row < t.Len(); row++ {
 		r := t.Row(row)
-		keyBuf.Reset()
-		for _, a := range attrs {
-			fmt.Fprintf(&keyBuf, "%d|", r[a])
+		for _, a := range schema.QIIndices() {
+			c.codes[a][row] = int32(r[a])
 		}
-		key := keyBuf.String()
-		g := groups[key]
-		if g == nil {
-			values := make([]int, len(attrs))
-			for i, a := range attrs {
-				values[i] = r[a]
-			}
-			g = &group{values: values, perSA: make([]int, saCard)}
-			groups[key] = g
-		}
-		g.count++
-		g.perSA[t.SACode(row)]++
+		c.sa[row] = int32(t.SACode(row))
 	}
-	var rules []Rule
-	for _, g := range groups {
-		for s := 0; s < saCard; s++ {
-			pos := g.perSA[s]
-			neg := g.count - pos
-			if pos >= minSup {
-				rules = append(rules, Rule{
-					Attrs: attrs, Values: g.values, SA: s,
-					Positive:   true,
-					Confidence: float64(pos) / float64(g.count),
-					Support:    pos,
-					CondCount:  g.count,
-				})
+	return c
+}
+
+// subsetGroups holds one attribute subset's groups that reach the
+// support threshold: the distinct value tuples of attrs that at least
+// minSup records share, in ascending lexicographic order of the tuples.
+// A smaller group can witness no rule of either polarity.
+type subsetGroups struct {
+	attrs []int
+	// values holds group g's tuple at [g*len(attrs), (g+1)*len(attrs)).
+	values []int
+	// count is each group's record count, count(Qv).
+	count []int
+	// perSA holds group g's record count per SA code at
+	// [g*saCard, (g+1)*saCard).
+	perSA []int32
+	// rules is the number of rules the groups emit.
+	rules int
+}
+
+// valuesOf returns group g's value tuple, capped so that appending to
+// one rule's Values cannot write into the next group's.
+func (s *subsetGroups) valuesOf(g int) []int {
+	n := len(s.attrs)
+	return s.values[g*n : (g+1)*n : (g+1)*n]
+}
+
+// group groups the records by their codes on attrs. A stable counting
+// sort of row indices per attribute, last attribute first, leaves the
+// rows in lexicographic order of their tuples (an LSD radix sort), so
+// each group is a run. Each pass costs O(records + domain size) for any
+// domain size, and no key is ever built.
+func (c *columns) group(attrs []int, minSup int) subsetGroups {
+	n := len(c.sa)
+	perm, next := make([]int32, n), make([]int32, n)
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	for k := len(attrs) - 1; k >= 0; k-- {
+		col := c.codes[attrs[k]]
+		start := make([]int, c.cards[attrs[k]]+1)
+		for _, r := range perm {
+			start[col[r]+1]++
+		}
+		for v := 1; v < len(start); v++ {
+			start[v] += start[v-1]
+		}
+		for _, r := range perm {
+			v := col[r]
+			next[start[v]] = r
+			start[v]++
+		}
+		perm, next = next, perm
+	}
+
+	s := subsetGroups{attrs: attrs}
+	tally := make([]int32, c.saCard)
+	for lo := 0; lo < n; {
+		first := perm[lo]
+		hi := lo + 1
+		for hi < n && c.sameTuple(attrs, first, perm[hi]) {
+			hi++
+		}
+		if size := hi - lo; size >= minSup {
+			for _, a := range attrs {
+				s.values = append(s.values, int(c.codes[a][first]))
 			}
-			if neg >= minSup {
-				rules = append(rules, Rule{
-					Attrs: attrs, Values: g.values, SA: s,
-					Positive:   false,
-					Confidence: float64(neg) / float64(g.count),
-					Support:    neg,
-					CondCount:  g.count,
-				})
+			s.count = append(s.count, size)
+			for _, r := range perm[lo:hi] {
+				tally[c.sa[r]]++
+			}
+			for _, pos := range tally {
+				if int(pos) >= minSup {
+					s.rules++
+				}
+				if size-int(pos) >= minSup {
+					s.rules++
+				}
+			}
+			s.perSA = append(s.perSA, tally...)
+			clear(tally)
+		}
+		lo = hi
+	}
+	return s
+}
+
+// sameTuple reports whether rows x and y agree on every attribute of attrs.
+func (c *columns) sameTuple(attrs []int, x, y int32) bool {
+	for _, a := range attrs {
+		if c.codes[a][x] != c.codes[a][y] {
+			return false
+		}
+	}
+	return true
+}
+
+// groupRef names group g of subset sub.
+type groupRef struct{ sub, g int32 }
+
+// ruleClass stands for the rules of one (support, group size) pair,
+// which share their confidence support/size.
+type ruleClass struct {
+	conf float64
+	sup  int
+	id   int32
+}
+
+// merge emits every subset's rules in the order MineContext documents,
+// writing each Rule once into a slice sized from the per-subset counts.
+//
+// It ranks the groups structurally (condition size, then attributes and
+// values position by position). Walking the groups in rank order, and
+// each group's rules by SA code, positive first, visits the rules in the
+// order of every tie-break after support. Confidence and support depend
+// only on a rule's class, its (support, group size) pair, and the
+// classes are few, so merge sorts the classes by confidence and support
+// and then places each class's rules in walk order: a counting sort.
+func merge(subs []subsetGroups, saCard, minSup int) []Rule {
+	var refs []groupRef
+	maxSize, nRules := 0, 0
+	for i := range subs {
+		nRules += subs[i].rules
+		for g, size := range subs[i].count {
+			refs = append(refs, groupRef{int32(i), int32(g)})
+			maxSize = max(maxSize, size)
+		}
+	}
+	if nRules == 0 {
+		return nil
+	}
+	slices.SortFunc(refs, func(a, b groupRef) int {
+		x, y := &subs[a.sub], &subs[b.sub]
+		if c := cmp.Compare(len(x.attrs), len(y.attrs)); c != 0 {
+			return c
+		}
+		xv, yv := x.valuesOf(int(a.g)), y.valuesOf(int(b.g))
+		for k := range x.attrs {
+			if c := cmp.Compare(x.attrs[k], y.attrs[k]); c != 0 {
+				return c
+			}
+			if c := cmp.Compare(xv[k], yv[k]); c != 0 {
+				return c
+			}
+		}
+		return 0
+	})
+	walk := func(fn func(ref groupRef, sa int, positive bool, sup, size int)) {
+		for _, ref := range refs {
+			s := &subs[ref.sub]
+			size := s.count[ref.g]
+			for sa, pos := range s.perSA[int(ref.g)*saCard:][:saCard] {
+				if int(pos) >= minSup {
+					fn(ref, sa, true, int(pos), size)
+				}
+				if neg := size - int(pos); neg >= minSup {
+					fn(ref, sa, false, neg, size)
+				}
 			}
 		}
 	}
+
+	// ids[size][sup] is a class's id plus one. Only sizes some group has
+	// get a row, so the rows hold at most as many entries as the groups
+	// hold records, plus one per group.
+	ids := make([][]int32, maxSize+1)
+	var classes []ruleClass
+	var next []int // per class id: its rule count, then its next slot
+	walk(func(_ groupRef, _ int, _ bool, sup, size int) {
+		if ids[size] == nil {
+			ids[size] = make([]int32, size+1)
+		}
+		id := ids[size][sup]
+		if id == 0 {
+			classes = append(classes, ruleClass{float64(sup) / float64(size), sup, int32(len(classes))})
+			next = append(next, 0)
+			id = int32(len(classes))
+			ids[size][sup] = id
+		}
+		next[id-1]++
+	})
+	slices.SortFunc(classes, func(a, b ruleClass) int {
+		if c := cmp.Compare(b.conf, a.conf); c != 0 {
+			return c
+		}
+		return cmp.Compare(b.sup, a.sup)
+	})
+	at := 0
+	for _, c := range classes {
+		at, next[c.id] = at+next[c.id], at
+	}
+
+	rules := make([]Rule, nRules)
+	walk(func(ref groupRef, sa int, positive bool, sup, size int) {
+		id := ids[size][sup] - 1
+		s := &subs[ref.sub]
+		rules[next[id]] = Rule{
+			Attrs:      s.attrs,
+			Values:     s.valuesOf(int(ref.g)),
+			SA:         sa,
+			Positive:   positive,
+			Confidence: float64(sup) / float64(size),
+			Support:    sup,
+			CondCount:  size,
+		}
+		next[id]++
+	})
 	return rules
 }
 
@@ -261,35 +446,6 @@ func forEachSubset(n, k int, fn func(idx []int)) {
 			idx[j] = idx[j-1] + 1
 		}
 	}
-}
-
-// sortRules orders by confidence (desc), then support (desc), then a
-// deterministic structural key, so Top-K selections are reproducible.
-func sortRules(rules []Rule) {
-	sort.Slice(rules, func(i, j int) bool {
-		a, b := &rules[i], &rules[j]
-		if a.Confidence != b.Confidence {
-			return a.Confidence > b.Confidence
-		}
-		if a.Support != b.Support {
-			return a.Support > b.Support
-		}
-		if len(a.Attrs) != len(b.Attrs) {
-			return len(a.Attrs) < len(b.Attrs)
-		}
-		for k := range a.Attrs {
-			if a.Attrs[k] != b.Attrs[k] {
-				return a.Attrs[k] < b.Attrs[k]
-			}
-			if a.Values[k] != b.Values[k] {
-				return a.Values[k] < b.Values[k]
-			}
-		}
-		if a.SA != b.SA {
-			return a.SA < b.SA
-		}
-		return a.Positive && !b.Positive
-	})
 }
 
 // TopK implements the paper's Top-(K+, K−) bound: the kPos strongest

@@ -1,6 +1,7 @@
 package assoc
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -123,6 +124,28 @@ func TestMineSizesAndValidation(t *testing.T) {
 	}
 	if len(all) != len(r1)+len(r2) {
 		t.Fatalf("default sizes mined %d rules, want %d", len(all), len(r1)+len(r2))
+	}
+}
+
+// TestMineRejectsInvalidSizes: a size out of range or listed twice is an
+// ErrInvalidOptions. A repeated size used to mine each of its subsets
+// twice, so TopK could return the same rule twice.
+func TestMineRejectsInvalidSizes(t *testing.T) {
+	tbl := adult.Generate(adult.Config{Records: 300, Seed: 1})
+	for _, sizes := range [][]int{{0}, {9}, {1, 1}, {1, 2, 1}} {
+		if _, err := Mine(tbl, Options{Sizes: sizes}); !errors.Is(err, ErrInvalidOptions) {
+			t.Errorf("sizes %v: err = %v, want ErrInvalidOptions", sizes, err)
+		}
+	}
+	rules, err := Mine(tbl, Options{Sizes: []int{1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	top := TopK(rules, 3, 0)
+	for i := 1; i < len(top); i++ {
+		if reflect.DeepEqual(top[i], top[i-1]) {
+			t.Fatalf("TopK returned %v twice", top[i].String())
+		}
 	}
 }
 

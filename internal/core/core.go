@@ -157,15 +157,22 @@ func (q *Quantifier) MineRules(t *dataset.Table) ([]assoc.Rule, error) {
 	return q.MineRulesContext(context.Background(), t)
 }
 
-// MineRulesContext is MineRules with telemetry: a "core.mine_rules" span
-// and mining metrics from the context.
+// MineRulesContext is MineRules with cancellation and telemetry: a
+// "core.mine_rules" span enclosing assoc's "assoc.mine", and mining
+// metrics from the context. Subsets are mined on as many workers as the
+// solve uses (Config.Solve.Workers, zero meaning GOMAXPROCS); the rules
+// do not depend on that count.
 func (q *Quantifier) MineRulesContext(ctx context.Context, t *dataset.Table) ([]assoc.Rule, error) {
-	_, span := telemetry.Start(ctx, "core.mine_rules",
+	ctx, span := telemetry.Start(ctx, "core.mine_rules",
 		telemetry.Int("records", t.Len()),
 		telemetry.Int("min_support", q.cfg.MinSupport))
 	defer span.End()
 	start := time.Now()
-	rules, err := assoc.Mine(t, assoc.Options{MinSupport: q.cfg.MinSupport, Sizes: q.cfg.RuleSizes})
+	rules, err := assoc.MineContext(ctx, t, assoc.Options{
+		MinSupport: q.cfg.MinSupport,
+		Sizes:      q.cfg.RuleSizes,
+		Workers:    q.cfg.Solve.WorkerCount(),
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -2,11 +2,14 @@ package core
 
 import (
 	"context"
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"privacymaxent/internal/adult"
+	"privacymaxent/internal/maxent"
 	"privacymaxent/internal/telemetry"
 )
 
@@ -83,6 +86,44 @@ func TestRunContextTelemetry(t *testing.T) {
 	}
 	if reg.Counter("pmaxent_solve_total").Value() == 0 {
 		t.Fatal("pmaxent_solve_total empty")
+	}
+}
+
+// TestMineRulesContext: mining honours the caller's context. A cancelled
+// context stops it with context.Canceled, assoc's span nests under
+// core's, and the rules are the same at one and at four workers.
+func TestMineRulesContext(t *testing.T) {
+	tbl := adult.Generate(adult.Config{Records: 400, Seed: 7})
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := New(Config{}).MineRulesContext(cancelled, tbl); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled mine err = %v, want context.Canceled", err)
+	}
+
+	sink := telemetry.NewTreeSink()
+	ctx := telemetry.WithTracer(context.Background(), telemetry.NewTracer(sink))
+	serial, err := New(Config{Solve: maxent.Options{Workers: 1}}).MineRulesContext(ctx, tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := map[string]uint64{}
+	var mineParent uint64
+	for _, ev := range sink.Events() {
+		ids[ev.Name] = ev.ID
+		if ev.Name == "assoc.mine" {
+			mineParent = ev.Parent
+		}
+	}
+	if mineParent == 0 || mineParent != ids["core.mine_rules"] {
+		t.Fatalf("assoc.mine parent = %d, want core.mine_rules' span %d", mineParent, ids["core.mine_rules"])
+	}
+
+	parallel, err := New(Config{Solve: maxent.Options{Workers: 4}}).MineRulesContext(context.Background(), tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(serial) == 0 || !reflect.DeepEqual(serial, parallel) {
+		t.Fatalf("rules at 4 workers differ from 1 worker's (%d vs %d rules)", len(parallel), len(serial))
 	}
 }
 

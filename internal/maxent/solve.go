@@ -149,9 +149,9 @@ func (o Options) warmMap() map[string]float64 {
 	return m
 }
 
-// workerCount resolves Options.Workers: the zero value means
+// WorkerCount resolves Options.Workers: the zero value means
 // runtime.GOMAXPROCS(0); negative values solve sequentially.
-func (o Options) workerCount() int {
+func (o Options) WorkerCount() int {
 	w := o.Workers
 	if w == 0 {
 		w = runtime.GOMAXPROCS(0)
@@ -511,7 +511,7 @@ type componentReuse struct {
 
 // solveComponents is the one driver behind every equality solve: it
 // presolves and solves each component, sequentially or with up to
-// Options.workerCount() goroutines (Workers zero means GOMAXPROCS), and
+// Options.WorkerCount() goroutines (Workers zero means GOMAXPROCS), and
 // fills sol's X, Duals, Trajectory and Stats. Components write disjoint
 // slices of sol.X; the stats are merged under a mutex. Components
 // carrying a reuse record skip the numeric solve entirely and copy their
@@ -533,7 +533,7 @@ type componentReuse struct {
 // cancelling, so interrupted siblings always find firstErr already set.
 func solveComponents(ctx context.Context, sol *Solution, components []solveComponent, opts Options, decomposed bool) error {
 	n := len(sol.X)
-	workers := opts.workerCount()
+	workers := opts.WorkerCount()
 	fanOut := min(workers, max(len(components), 1))
 	sol.Stats.Workers = 1
 	sol.Stats.KernelWorkers = 1
@@ -810,7 +810,7 @@ func solveReduced(ctx context.Context, sol *Solution, red *reduced, warm map[str
 	case Auto, LBFGS, SteepestDescent, Newton:
 		sol.Stats.KernelWorkers = 1
 		if run != nil {
-			sol.Stats.KernelWorkers = opts.workerCount()
+			sol.Stats.KernelWorkers = opts.WorkerCount()
 		}
 		obj := newDualObjective(a, rhs)
 		obj.setRunner(run)

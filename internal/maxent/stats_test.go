@@ -57,13 +57,13 @@ func TestStatsMerge(t *testing.T) {
 // TestWorkersDefault: the zero value of Options.Workers means
 // runtime.GOMAXPROCS(0); negative values solve sequentially.
 func TestWorkersDefault(t *testing.T) {
-	if got, want := (Options{}).workerCount(), runtime.GOMAXPROCS(0); got != want {
+	if got, want := (Options{}).WorkerCount(), runtime.GOMAXPROCS(0); got != want {
 		t.Fatalf("zero Workers resolved to %d, want GOMAXPROCS = %d", got, want)
 	}
-	if got := (Options{Workers: -3}).workerCount(); got != 1 {
+	if got := (Options{Workers: -3}).WorkerCount(); got != 1 {
 		t.Fatalf("negative Workers resolved to %d, want 1", got)
 	}
-	if got := (Options{Workers: 6}).workerCount(); got != 6 {
+	if got := (Options{Workers: 6}).WorkerCount(); got != 6 {
 		t.Fatalf("explicit Workers resolved to %d, want 6", got)
 	}
 }

@@ -1345,8 +1345,12 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 	}()
 	s.observeLoad()
 
+	minSup := req.MinSupport
+	if minSup <= 0 {
+		minSup = s.q.Config().MinSupport
+	}
 	rules, err := assoc.MineContext(ctx, t, assoc.Options{
-		MinSupport: req.MinSupport,
+		MinSupport: minSup,
 		Sizes:      req.Sizes,
 	})
 	if err != nil {
@@ -1417,7 +1421,8 @@ func classify(err error) (status int, kind string) {
 	case errors.Is(err, errBadRequest),
 		errors.Is(err, errScheme),
 		errors.Is(err, errs.ErrInvalidSchema),
-		errors.Is(err, errs.ErrNoSensitiveAttribute):
+		errors.Is(err, errs.ErrNoSensitiveAttribute),
+		errors.Is(err, assoc.ErrInvalidOptions):
 		return http.StatusBadRequest, "invalid_request"
 	default:
 		return http.StatusInternalServerError, "internal"

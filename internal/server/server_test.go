@@ -512,6 +512,10 @@ func TestErrorMapping(t *testing.T) {
 				{"if": {"Gender": "male"}, "then": "Lung Cancer", "p": 0}]`),
 			http.StatusUnprocessableEntity, "infeasible"},
 		{"mine missing csv", "/v1/rules/mine", `{"sa": "Disease"}`, http.StatusBadRequest, "invalid_request"},
+		// assoc's own option check decides these; a repeated size would
+		// otherwise mine every subset of that size twice.
+		{"mine size out of range", "/v1/rules/mine", mineBody(`"sizes": [5]`), http.StatusBadRequest, "invalid_request"},
+		{"mine repeated size", "/v1/rules/mine", mineBody(`"sizes": [1, 1]`), http.StatusBadRequest, "invalid_request"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -572,6 +576,44 @@ func TestVagueQuantify(t *testing.T) {
 	}
 	if r.Eps != 0.05 {
 		t.Fatalf("eps echoed as %g", r.Eps)
+	}
+}
+
+// mineCSV is a 6-record table on two QI attributes. At subset size 1 it
+// has 12 rules of support at least 1 and 4 of support at least 3.
+const mineCSV = "age,sex,disease\n30,m,flu\n30,m,flu\n30,m,flu\n40,f,hiv\n40,f,hiv\n40,f,flu\n"
+
+// mineBody is a /v1/rules/mine body over mineCSV with extra fields.
+func mineBody(fields string) string {
+	b, _ := json.Marshal(mineCSV) // a string always marshals
+	return `{"csv": ` + string(b) + `, "sa": "disease", ` + fields + `}`
+}
+
+// TestMineMinSupportDefault: an omitted or non-positive min_support mines
+// at the pipeline's threshold, 3, exactly as an explicit 3 does.
+func TestMineMinSupportDefault(t *testing.T) {
+	ts := httptest.NewServer(New(Config{}))
+	defer ts.Close()
+	for _, tc := range []struct {
+		fields string
+		mined  int
+	}{
+		{`"sizes": [1]`, 4},
+		{`"sizes": [1], "min_support": 0`, 4},
+		{`"sizes": [1], "min_support": 3`, 4},
+		{`"sizes": [1], "min_support": 1`, 12},
+	} {
+		resp, raw := postQuantify(t, ts, "/v1/rules/mine", mineBody(tc.fields))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status = %d: %s", tc.fields, resp.StatusCode, raw)
+		}
+		var r MineResponse
+		if err := json.Unmarshal(raw, &r); err != nil {
+			t.Fatal(err)
+		}
+		if r.Mined != tc.mined {
+			t.Fatalf("%s: mined %d rules, want %d", tc.fields, r.Mined, tc.mined)
+		}
 	}
 }
 

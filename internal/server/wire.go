@@ -264,7 +264,10 @@ type MineRequest struct {
 	CSV string   `json:"csv"`
 	SA  string   `json:"sa"`
 	ID  []string `json:"id,omitempty"`
-	// MinSupport and Sizes configure mining (defaults 3 / all sizes).
+	// MinSupport and Sizes configure mining. MinSupport defaults to the
+	// pipeline's threshold (3, the paper's) when omitted or not positive;
+	// Sizes defaults to every size, and a size out of range or listed
+	// twice is a 400.
 	MinSupport int   `json:"min_support,omitempty"`
 	Sizes      []int `json:"sizes,omitempty"`
 	// KPos/KNeg select the Top-(K+, K−) strongest rules; both zero
