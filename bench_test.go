@@ -168,7 +168,7 @@ func BenchmarkMine(b *testing.B) {
 		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 			b.Run(fmt.Sprintf("records=%d/workers=%d", records, workers), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := MineRules(tbl, MineOptions{MinSupport: 3, Sizes: []int{1, 2}, Workers: workers}); err != nil {
+					if _, err := MineRulesContext(context.Background(), tbl, MineOptions{MinSupport: 3, Sizes: []int{1, 2}, Workers: workers}); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -36,6 +36,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 
 	"privacymaxent/internal/audit"
 	"privacymaxent/internal/bucket"
@@ -266,7 +267,9 @@ func runOriginal(ctx context.Context, w io.Writer, o options, alg maxent.Algorit
 	if err != nil {
 		return err
 	}
-	rep, err := q.QuantifyWithRulesContext(ctx, pub, rules, core.Bound{KPos: o.kPos, KNeg: o.kNeg}, truth)
+	rep, err := quantifyOnce(ctx, q, pub, func(p *core.Prepared) (*core.Report, error) {
+		return p.QuantifyWithRules(ctx, rules, core.Bound{KPos: o.kPos, KNeg: o.kNeg}, truth, nil)
+	})
 	if err != nil {
 		return err
 	}
@@ -318,12 +321,9 @@ func runPublished(ctx context.Context, w io.Writer, o options, alg maxent.Algori
 		}
 	}
 	q := core.New(core.Config{Solve: maxent.Options{Algorithm: alg}, Audit: auditConfig(o)})
-	var rep *core.Report
-	if o.eps > 0 {
-		rep, err = q.QuantifyVagueContext(ctx, pub, knowledge, o.eps, nil)
-	} else {
-		rep, err = q.QuantifyContext(ctx, pub, knowledge, nil)
-	}
+	rep, err := quantifyOnce(ctx, q, pub, func(p *core.Prepared) (*core.Report, error) {
+		return p.QuantifyWithOptions(ctx, core.QuantifyOptions{Knowledge: knowledge, Eps: o.eps})
+	})
 	if err != nil {
 		return err
 	}
@@ -332,6 +332,24 @@ func runPublished(ctx context.Context, w io.Writer, o options, alg maxent.Algori
 		return err
 	}
 	return checkSolveHealth(o, rep)
+}
+
+// quantifyOnce prepares pub for the run's one quantification and runs
+// solve over it. The report's timings lead with the base build as the
+// prepare stage, so the stage-timings line accounts for all of it.
+func quantifyOnce(ctx context.Context, q *core.Quantifier, pub *bucket.Bucketized, solve func(*core.Prepared) (*core.Report, error)) (*core.Report, error) {
+	start := time.Now()
+	p, err := q.Prepare(ctx, pub)
+	if err != nil {
+		return nil, err
+	}
+	prepDur := time.Since(start)
+	rep, err := solve(p)
+	if err != nil {
+		return nil, err
+	}
+	rep.Timings = append(core.Timings{{Stage: core.StagePrepare, Duration: prepDur}}, rep.Timings...)
+	return rep, nil
 }
 
 // auditConfig turns the -audit-out flag into the core audit option.

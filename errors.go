@@ -10,7 +10,7 @@ import (
 // standard errors.Is instead of string matching or reaching into
 // internal packages:
 //
-//	rep, err := q.QuantifyContext(ctx, d, knowledge, nil)
+//	rep, err := p.QuantifyWithOptions(ctx, privacymaxent.QuantifyOptions{Knowledge: knowledge})
 //	switch {
 //	case errors.Is(err, privacymaxent.ErrInfeasible):
 //		// the knowledge contradicts the published data (HTTP 422)
@@ -27,12 +27,13 @@ var (
 	// ErrInfeasible reports that the constraint system admits no
 	// probability distribution: the supplied background knowledge
 	// contradicts the published data's invariants (or itself). Returned
-	// by every solve entry point (Quantify, QuantifyVague, Run, ...).
+	// by every solve entry point (Prepared.QuantifyWithOptions,
+	// QuantifyDelta, QuantifyWithRules, RunContext, ...).
 	ErrInfeasible = errs.ErrInfeasible
 
 	// ErrInterrupted reports that a solve was stopped before reaching
-	// its tolerance because the context passed to a *Context entry point
-	// was cancelled or timed out.
+	// its tolerance because the context passed to its entry point was
+	// cancelled or timed out.
 	ErrInterrupted = solver.ErrInterrupted
 
 	// ErrInvalidSchema reports structurally invalid schema input (nil or

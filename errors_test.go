@@ -40,13 +40,29 @@ func TestErrorTaxonomy(t *testing.T) {
 		}
 		tbl := NewTable(schema)
 		tbl.MustAppend("a")
-		_, err = MineRules(tbl, MineOptions{MinSupport: 1})
+		_, err = MineRulesContext(context.Background(), tbl, MineOptions{MinSupport: 1})
 		if !errors.Is(err, ErrNoSensitiveAttribute) {
 			t.Fatalf("mine err = %v, want ErrNoSensitiveAttribute", err)
 		}
 		_, err = TrueConditional(tbl, NewUniverse(tbl))
 		if !errors.Is(err, ErrNoSensitiveAttribute) {
 			t.Fatalf("truth err = %v, want ErrNoSensitiveAttribute", err)
+		}
+	})
+
+	t.Run("no quasi-identifier attribute", func(t *testing.T) {
+		name := NewAttribute("Name", Identifier, []string{"a", "b"})
+		disease := NewAttribute("Disease", Sensitive, []string{"flu", "hiv"})
+		schema, err := NewSchema(name, disease)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbl := NewTable(schema)
+		tbl.MustAppend("a", "flu")
+		tbl.MustAppend("b", "hiv")
+		_, err = MineRulesContext(context.Background(), tbl, MineOptions{MinSupport: 1})
+		if !errors.Is(err, ErrInvalidSchema) {
+			t.Fatalf("mine err = %v, want ErrInvalidSchema", err)
 		}
 	})
 
@@ -75,8 +91,11 @@ func TestErrorTaxonomy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		q := New(Config{})
-		_, err = q.Quantify(d, knowledge, nil)
+		p, err := New(Config{}).Prepare(context.Background(), d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = p.QuantifyWithOptions(context.Background(), QuantifyOptions{Knowledge: knowledge})
 		if !errors.Is(err, ErrInfeasible) {
 			t.Fatalf("err = %v, want ErrInfeasible", err)
 		}
@@ -95,10 +114,13 @@ func TestErrorTaxonomy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		p, err := New(Config{}).Prepare(context.Background(), d)
+		if err != nil {
+			t.Fatal(err)
+		}
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		q := New(Config{})
-		_, err = q.QuantifyContext(ctx, d, knowledge, nil)
+		_, err = p.QuantifyWithOptions(ctx, QuantifyOptions{Knowledge: knowledge})
 		if !errors.Is(err, ErrInterrupted) {
 			t.Fatalf("err = %v, want ErrInterrupted", err)
 		}

@@ -1,6 +1,7 @@
 package privacymaxent_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -37,7 +38,7 @@ func buildPatientTable() *privacymaxent.Table {
 func Example() {
 	table := buildPatientTable()
 	q := privacymaxent.New(privacymaxent.Config{Diversity: 3, MinSupport: 2})
-	report, err := q.Run(table, privacymaxent.Bound{KPos: 2, KNeg: 2})
+	report, err := q.RunContext(context.Background(), table, privacymaxent.Bound{KPos: 2, KNeg: 2})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -52,10 +53,10 @@ func Example() {
 	// max disclosure <= 1: true
 }
 
-// ExampleQuantifier_Quantify applies a hand-written knowledge statement —
-// the paper's "it is rare for males to have breast cancer" pattern —
-// instead of mined rules.
-func ExampleQuantifier_Quantify() {
+// ExamplePrepared_QuantifyWithOptions applies a hand-written knowledge
+// statement — the paper's "it is rare for males to have breast cancer"
+// pattern — instead of mined rules.
+func ExamplePrepared_QuantifyWithOptions() {
 	table := buildPatientTable()
 	pub, _, err := privacymaxent.Anatomize(table, privacymaxent.BucketOptions{L: 3, ExemptMostFrequent: true})
 	if err != nil {
@@ -71,8 +72,12 @@ func ExampleQuantifier_Quantify() {
 		SA:     cancer,
 		P:      0, // "males in this table never have Cancer" (counterfactual)
 	}}
-	q := privacymaxent.New(privacymaxent.Config{Diversity: 3})
-	report, err := q.Quantify(pub, knowledge, nil)
+	ctx := context.Background()
+	p, err := privacymaxent.New(privacymaxent.Config{Diversity: 3}).Prepare(ctx, pub)
+	if err != nil {
+		log.Fatal(err)
+	}
+	report, err := p.QuantifyWithOptions(ctx, privacymaxent.QuantifyOptions{Knowledge: knowledge})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -89,10 +94,11 @@ func ExampleQuantifier_Quantify() {
 	// male cancer posteriors zeroed: true
 }
 
-// ExampleMineRules shows the Top-(K+, K−) bound construction of Sec. 4.4.
-func ExampleMineRules() {
+// ExampleMineRulesContext shows the Top-(K+, K−) bound construction of
+// Sec. 4.4.
+func ExampleMineRulesContext() {
 	table := buildPatientTable()
-	rules, err := privacymaxent.MineRules(table, privacymaxent.MineOptions{MinSupport: 2})
+	rules, err := privacymaxent.MineRulesContext(context.Background(), table, privacymaxent.MineOptions{MinSupport: 2})
 	if err != nil {
 		log.Fatal(err)
 	}

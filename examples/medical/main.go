@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -20,16 +21,21 @@ import (
 func main() {
 	tbl := generatePatients(600, 42)
 	q := core.New(core.Config{Diversity: 4, MinSupport: 3})
+	ctx := context.Background()
 
-	pub, _, err := q.Bucketize(tbl)
+	pub, _, err := q.BucketizeContext(ctx, tbl)
 	if err != nil {
 		log.Fatal(err)
 	}
-	rules, err := q.MineRules(tbl)
+	rules, err := q.MineRulesContext(ctx, tbl)
 	if err != nil {
 		log.Fatal(err)
 	}
 	truth, err := dataset.TrueConditional(tbl, pub.Universe())
+	if err != nil {
+		log.Fatal(err)
+	}
+	p, err := q.Prepare(ctx, pub)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -42,7 +48,7 @@ func main() {
 	fmt.Println("Privacy as a function of the assumed knowledge bound (Sec. 4.3):")
 	fmt.Println("  bound (K+,K-)   est. accuracy   max disclosure   posterior entropy")
 	for _, k := range []int{0, 5, 10, 25, 50, 100, 200} {
-		rep, err := q.QuantifyWithRules(pub, rules, core.Bound{KPos: k / 2, KNeg: k - k/2}, truth)
+		rep, err := p.QuantifyWithRules(ctx, rules, core.Bound{KPos: k / 2, KNeg: k - k/2}, truth, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -51,7 +57,7 @@ func main() {
 	}
 
 	// Zoom in on the patients a modest bound already exposes.
-	rep, err := q.QuantifyWithRules(pub, rules, core.Bound{KPos: 25, KNeg: 25}, truth)
+	rep, err := p.QuantifyWithRules(ctx, rules, core.Bound{KPos: 25, KNeg: 25}, truth, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

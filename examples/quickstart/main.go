@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -52,11 +53,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	q := core.New(core.Config{Diversity: 3, MinSupport: 1})
+	ctx := context.Background()
+	p, err := core.New(core.Config{Diversity: 3, MinSupport: 1}).Prepare(ctx, pub)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// 1. No background knowledge: the standard uniform-within-bucket
 	// estimate (Theorem 5).
-	plain, err := q.Quantify(pub, nil, truth)
+	plain, err := p.QuantifyWithOptions(ctx, core.QuantifyOptions{Truth: truth})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -73,7 +78,7 @@ func main() {
 		tupleKnowledge(tbl, u, 2, s1, 0), // P(s1 | q3) = 0
 		tupleKnowledge(tbl, u, 2, s2, 0), // P(s2 | q3) = 0
 	}
-	withK, err := q.Quantify(pub, know, truth)
+	withK, err := p.QuantifyWithOptions(ctx, core.QuantifyOptions{Knowledge: know, Truth: truth})
 	if err != nil {
 		log.Fatal(err)
 	}

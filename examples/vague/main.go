@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -38,7 +39,11 @@ func main() {
 		P:  0.9,
 	}}
 
-	q := core.New(core.Config{Diversity: 3, MinSupport: 1})
+	ctx := context.Background()
+	p, err := core.New(core.Config{Diversity: 3, MinSupport: 1}).Prepare(ctx, pub)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println(`Knowledge: "P(Pneumonia | male, high school) ≈ 0.9 ± ε"`)
 	fmt.Println("(the exact value in D is 0.5 — the adversary's belief overshoots)")
 	fmt.Println()
@@ -46,7 +51,7 @@ func main() {
 	q3 := findQID(pub, "{male, high school}")
 	s3 := schema.SA().MustCode("Pneumonia")
 	for _, eps := range []float64{0, 0.05, 0.1, 0.2, 0.4, 1} {
-		rep, err := q.QuantifyVague(pub, know, eps, truth)
+		rep, err := p.QuantifyWithOptions(ctx, core.QuantifyOptions{Knowledge: know, Truth: truth, Eps: eps})
 		if err != nil {
 			log.Fatal(err)
 		}

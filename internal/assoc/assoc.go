@@ -133,7 +133,7 @@ func MineContext(ctx context.Context, t *dataset.Table, opts Options) ([]Rule, e
 	}
 	qi := schema.QIIndices()
 	if len(qi) == 0 {
-		return nil, fmt.Errorf("assoc: table has no quasi-identifier attributes")
+		return nil, fmt.Errorf("assoc: table has no quasi-identifier attributes: %w", errs.ErrInvalidSchema)
 	}
 	minSup := max(opts.MinSupport, 1)
 	sizes := opts.Sizes
@@ -450,9 +450,12 @@ func forEachSubset(n, k int, fn func(idx []int)) {
 
 // TopK implements the paper's Top-(K+, K−) bound: the kPos strongest
 // positive rules and the kNeg strongest negative rules by confidence.
-// Rules must already be sorted (as Mine returns them).
+// Rules must already be sorted (as Mine returns them). A negative count
+// selects no rules of that polarity.
 func TopK(rules []Rule, kPos, kNeg int) []Rule {
-	out := make([]Rule, 0, kPos+kNeg)
+	kPos = min(max(kPos, 0), len(rules))
+	kNeg = min(max(kNeg, 0), len(rules))
+	out := make([]Rule, 0, min(kPos+kNeg, len(rules)))
 	nPos, nNeg := 0, 0
 	for i := range rules {
 		if rules[i].Positive {

@@ -180,6 +180,25 @@ func TestTopK(t *testing.T) {
 	}
 }
 
+// TestTopKOutOfRangeCounts: a negative count selects nothing of its
+// polarity and a count past the pool (up to math.MaxInt, where the sum
+// overflows) selects the whole pool; neither panics.
+func TestTopKOutOfRangeCounts(t *testing.T) {
+	rules, err := Mine(dataset.PaperExample(), Options{MinSupport: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := TopK(rules, 5, -10), TopK(rules, 5, 0); !reflect.DeepEqual(got, want) {
+		t.Fatalf("TopK(5, -10) = %d rules, want TopK(5, 0)'s %d", len(got), len(want))
+	}
+	if got := TopK(rules, -1, -1); len(got) != 0 {
+		t.Fatalf("TopK(-1, -1) = %d rules, want 0", len(got))
+	}
+	if got := TopK(rules, math.MaxInt, math.MaxInt); len(got) != len(rules) {
+		t.Fatalf("TopK(MaxInt, MaxInt) = %d rules, want all %d", len(got), len(rules))
+	}
+}
+
 func TestRuleKnowledgeConversion(t *testing.T) {
 	tbl := dataset.PaperExample()
 	gender := tbl.Schema().Index("Gender")

@@ -15,6 +15,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"privacymaxent/internal/assoc"
@@ -32,7 +33,8 @@ import (
 
 // Config tunes the pipeline. The zero value reproduces the paper's
 // evaluation setup (5-diversity buckets of five with the most frequent SA
-// value exempted, minimum rule support 3, LBFGS with decomposition).
+// value exempted, minimum rule support 3, decomposition on) and solves
+// with the Auto dual algorithm.
 type Config struct {
 	// Diversity is the L parameter and bucket size. Default 5.
 	Diversity int
@@ -54,9 +56,10 @@ type Config struct {
 	KeepRedundant bool
 	// Audit, when non-nil, builds a numerical-health audit of every
 	// equality solve into Report.Audit and turns on convergence-trajectory
-	// capture (maxent.Options.CaptureTrace). Inequality solves
-	// (QuantifyVague) are not audited: their residuals are judged against
-	// the augmented two-sided system, not the user's labeled rows.
+	// capture (maxent.Options.CaptureTrace); QuantifyOptions.Audit
+	// overrides it per call. Inequality solves (vague knowledge or a boxed
+	// scheme) are not audited: their residuals are judged against the
+	// augmented two-sided system, not the user's labeled rows.
 	Audit *audit.Options
 }
 
@@ -98,10 +101,12 @@ type Report struct {
 	EstimationAccuracy float64
 	// Timings is the per-stage wall-clock breakdown of the run that
 	// produced this report (stages present depend on the entry point:
-	// Run covers bucketize/mine/truth, Quantify starts at formulate).
+	// RunContext covers bucketize/mine/truth/prepare, a prepared
+	// quantification starts at select or formulate).
 	Timings Timings
-	// Audit is the numerical-health record of the solve; nil unless
-	// Config.Audit was set (and always nil for inequality solves).
+	// Audit is the numerical-health record of the solve; nil unless an
+	// audit was requested (QuantifyOptions.Audit or Config.Audit), and
+	// always nil for inequality solves.
 	Audit *audit.SolveAudit
 }
 
@@ -118,15 +123,11 @@ func New(cfg Config) *Quantifier {
 // Config reports the effective (defaulted) configuration.
 func (q *Quantifier) Config() Config { return q.cfg }
 
-// Bucketize publishes the table with the configured Anatomy bucketizer
-// and returns the published view plus the row partition (the partition is
-// the ground-truth assignment and must not be published).
-func (q *Quantifier) Bucketize(t *dataset.Table) (*bucket.Bucketized, [][]int, error) {
-	return q.BucketizeContext(context.Background(), t)
-}
-
-// BucketizeContext is Bucketize with telemetry: a "core.bucketize" span
-// and bucketization metrics from the context.
+// BucketizeContext publishes the table with the configured Anatomy
+// bucketizer and returns the published view plus the row partition (the
+// partition is the ground-truth assignment and must not be published).
+// It records a "core.bucketize" span and bucketization metrics from the
+// context.
 func (q *Quantifier) BucketizeContext(ctx context.Context, t *dataset.Table) (*bucket.Bucketized, [][]int, error) {
 	_, span := telemetry.Start(ctx, "core.bucketize",
 		telemetry.Int("records", t.Len()),
@@ -151,15 +152,10 @@ func (q *Quantifier) BucketizeContext(ctx context.Context, t *dataset.Table) (*b
 	return d, part, nil
 }
 
-// MineRules mines all association rules from the original data, sorted
-// strongest-first, ready for Top-(K+, K−) selection.
-func (q *Quantifier) MineRules(t *dataset.Table) ([]assoc.Rule, error) {
-	return q.MineRulesContext(context.Background(), t)
-}
-
-// MineRulesContext is MineRules with cancellation and telemetry: a
-// "core.mine_rules" span enclosing assoc's "assoc.mine", and mining
-// metrics from the context. Subsets are mined on as many workers as the
+// MineRulesContext mines all association rules from the original data,
+// sorted strongest-first, ready for Top-(K+, K−) selection. Mining stops
+// once ctx is done; it records a "core.mine_rules" span enclosing
+// assoc's "assoc.mine", and mining metrics from the context. Subsets are mined on as many workers as the
 // solve uses (Config.Solve.Workers, zero meaning GOMAXPROCS); the rules
 // do not depend on that count.
 func (q *Quantifier) MineRulesContext(ctx context.Context, t *dataset.Table) ([]assoc.Rule, error) {
@@ -187,140 +183,16 @@ func (q *Quantifier) MineRulesContext(ctx context.Context, t *dataset.Table) ([]
 	return rules, nil
 }
 
-// formulate builds the constraint system (data invariants + knowledge)
-// under a "core.formulate" span, recording the stage timing into tm.
-func (q *Quantifier) formulate(ctx context.Context, d *bucket.Bucketized, knowledge []constraint.DistributionKnowledge, tm *Timings) (*constraint.System, error) {
-	_, span := telemetry.Start(ctx, "core.formulate",
-		telemetry.Int("knowledge", len(knowledge)))
-	defer span.End()
-	start := time.Now()
-	sp := constraint.NewSpace(d)
-	sys := constraint.DataInvariants(sp, constraint.InvariantOptions{DropRedundant: !q.cfg.KeepRedundant})
-	if err := constraint.AddKnowledge(sys, knowledge...); err != nil {
-		return nil, fmt.Errorf("core: adding knowledge: %w", err)
-	}
-	span.SetAttr(telemetry.Int("variables", sp.Len()))
-	span.SetAttr(telemetry.Int("constraints", sys.Len()))
-	tm.Add(StageFormulate, time.Since(start))
-	if reg := telemetry.Metrics(ctx); reg != nil {
-		reg.Histogram("pmaxent_formulate_constraints", telemetry.CountBuckets).
-			Observe(float64(sys.Len()))
-	}
-	return sys, nil
-}
-
-// score derives the posterior and privacy scores from a solution under a
-// "core.score" span, recording the stage timing into tm.
-func (q *Quantifier) score(ctx context.Context, sol *maxent.Solution, knowledge []constraint.DistributionKnowledge, truth *dataset.Conditional, tm *Timings) (*Report, error) {
-	_, span := telemetry.Start(ctx, "core.score")
-	defer span.End()
-	start := time.Now()
-	post := sol.Posterior()
-	rep := &Report{
-		Knowledge:          knowledge,
-		Posterior:          post,
-		Solution:           sol,
-		MaxDisclosure:      metrics.MaxDisclosure(post),
-		PosteriorEntropy:   metrics.PosteriorEntropy(post),
-		EstimationAccuracy: -1,
-	}
-	if truth != nil {
-		acc, err := metrics.EstimationAccuracy(truth, post)
-		if err != nil {
-			return nil, fmt.Errorf("core: estimation accuracy: %w", err)
-		}
-		rep.EstimationAccuracy = acc
-	}
-	span.SetAttr(telemetry.Float("max_disclosure", rep.MaxDisclosure))
-	tm.Add(StageScore, time.Since(start))
-	return rep, nil
-}
-
-// Quantify estimates the adversary posterior for published data under the
-// given knowledge statements and scores it. truth may be nil; when
-// supplied (computed from the original data) the report includes the
-// paper's Estimation Accuracy.
-func (q *Quantifier) Quantify(d *bucket.Bucketized, knowledge []constraint.DistributionKnowledge, truth *dataset.Conditional) (*Report, error) {
-	return q.QuantifyContext(context.Background(), d, knowledge, truth)
-}
-
-// QuantifyContext is Quantify with telemetry: a "core.quantify" span
-// wrapping formulate/solve/score child spans, pipeline metrics, and a
-// per-stage timing breakdown in Report.Timings.
-func (q *Quantifier) QuantifyContext(ctx context.Context, d *bucket.Bucketized, knowledge []constraint.DistributionKnowledge, truth *dataset.Conditional) (*Report, error) {
-	ctx, span := telemetry.Start(ctx, "core.quantify",
-		telemetry.Int("knowledge", len(knowledge)))
-	defer span.End()
-	var tm Timings
-	sys, err := q.formulate(ctx, d, knowledge, &tm)
-	if err != nil {
-		return nil, err
-	}
-	opts := q.cfg.Solve
-	opts.Decompose = !q.cfg.NoDecompose
-	return q.solveAndScore(ctx, sys, knowledge, truth, opts, q.cfg.Audit, &tm)
-}
-
-// solveAndScore runs the MaxEnt solve on an assembled system, scores the
-// posterior, and emits the pipeline metrics — the tail shared by
-// QuantifyContext and Prepared. auditOpts selects whether (and how) the
-// solve is audited; callers on the classic path pass q.cfg.Audit.
-func (q *Quantifier) solveAndScore(ctx context.Context, sys *constraint.System, knowledge []constraint.DistributionKnowledge, truth *dataset.Conditional, opts maxent.Options, auditOpts *audit.Options, tm *Timings) (*Report, error) {
-	return q.solveAndScoreDelta(ctx, sys, knowledge, truth, opts, auditOpts, nil, tm)
-}
-
-// solveAndScoreDelta is solveAndScore with an optional incremental
-// baseline: non-nil routes the solve through maxent.SolveDeltaContext so
-// unchanged decomposition components are reused verbatim (and an
-// unusable baseline degrades to a cold solve inside the maxent layer).
-func (q *Quantifier) solveAndScoreDelta(ctx context.Context, sys *constraint.System, knowledge []constraint.DistributionKnowledge, truth *dataset.Conditional, opts maxent.Options, auditOpts *audit.Options, base *maxent.Baseline, tm *Timings) (*Report, error) {
-	if auditOpts != nil {
-		opts.CaptureTrace = true
-	}
-	solveStart := time.Now()
-	var sol *maxent.Solution
-	var err error
-	if base != nil {
-		sol, err = maxent.SolveDeltaContext(ctx, sys, base, opts)
-	} else {
-		sol, err = maxent.SolveContext(ctx, sys, opts)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("core: maxent solve: %w", err)
-	}
-	tm.Add(StageSolve, time.Since(solveStart))
-	rep, err := q.score(ctx, sol, knowledge, truth, tm)
-	if err != nil {
-		return nil, err
-	}
-	if auditOpts != nil {
-		auditStart := time.Now()
-		_, aspan := telemetry.Start(ctx, "core.audit")
-		rep.Audit = audit.New(sys, sol, *auditOpts)
-		rep.Audit.RequestID = telemetry.RequestID(ctx)
-		aspan.End()
-		tm.Add(StageAudit, time.Since(auditStart))
-	}
-	rep.Timings = *tm
-	if reg := telemetry.Metrics(ctx); reg != nil {
-		reg.Counter("pmaxent_quantify_total").Add(1)
-		reg.Histogram("pmaxent_quantify_duration_seconds", telemetry.DurationBuckets).
-			Observe(tm.Total().Seconds())
-	}
-	return rep, nil
-}
-
 // Prepared caches the data-dependent, knowledge-independent half of a
 // quantification: the term space and the data-invariant base system.
-// Sweeps that evaluate many knowledge sets over the same published data
-// (Figures 5–7) pay the space/invariant construction once and append
-// only the per-grid-point knowledge rows onto a copy-on-append overlay
-// of the base system (constraint.System.Clone). A Prepared instance is
-// safe for concurrent use: the base system is never mutated after
-// Prepare returns.
+// It is the only formulation path: every quantification clones the base
+// (constraint.System.Clone, a copy-on-append overlay) and appends just
+// its own knowledge, so sweeps that evaluate many knowledge sets over the
+// same published data (Figures 5–7) pay the space/invariant construction
+// once. A Prepared instance is safe for concurrent use: the base system
+// is never mutated after Prepare returns.
 type Prepared struct {
 	q    *Quantifier
-	d    *bucket.Bucketized
 	sp   *constraint.Space
 	base *constraint.System
 	// sch is the publication scheme the base system was built under; nil
@@ -335,12 +207,11 @@ type Prepared struct {
 
 // Prepare builds the reusable base for quantifications of d: term space
 // plus data invariants under the Quantifier's configuration, instrumented
-// as a "core.prepare" span. It is the context-first front door of the
-// prepared pipeline — library users and the pmaxentd server build the
-// invariant system once per publication, then append only the per-request
-// knowledge rows via Prepared.QuantifyContext and friends. It is
-// PrepareScheme under the default scheme: the classic Theorem 1–3
-// equality invariants every Anatomy/Mondrian view certifies.
+// as a "core.prepare" span. Library users and the pmaxentd server build
+// the invariant system once per publication, then append only the
+// per-request knowledge rows via Prepared.QuantifyWithOptions and
+// friends. It is PrepareScheme under the default scheme: the classic
+// Theorem 1–3 equality invariants every Anatomy/Mondrian view certifies.
 func (q *Quantifier) Prepare(ctx context.Context, d *bucket.Bucketized) (*Prepared, error) {
 	return q.PrepareScheme(ctx, d, nil)
 }
@@ -384,18 +255,11 @@ func (q *Quantifier) PrepareScheme(ctx context.Context, d *bucket.Bucketized, sc
 		telemetry.Int("variables", sp.Len()),
 		telemetry.Int("invariants", base.Len()),
 		telemetry.Int("inequalities", len(ineqs)))
-	return &Prepared{q: q, d: d, sp: sp, base: base, sch: sch, ineqs: ineqs}, nil
+	return &Prepared{q: q, sp: sp, base: base, sch: sch, ineqs: ineqs}, nil
 }
 
 // Space returns the cached term space.
 func (p *Prepared) Space() *constraint.Space { return p.sp }
-
-// Data returns the published data the base system was built for.
-func (p *Prepared) Data() *bucket.Bucketized { return p.d }
-
-// Scheme returns the publication scheme the base system was built
-// under; nil means the classic default (equality invariants).
-func (p *Prepared) Scheme() scheme.Scheme { return p.sch }
 
 // Boxed reports whether solves route through the boxed (inequality)
 // dual — true when the scheme emitted observation boxes. Boxed solves
@@ -408,105 +272,43 @@ func (p *Prepared) Boxed() bool { return len(p.ineqs) > 0 }
 // invariants.
 func (p *Prepared) CloneSystem() *constraint.System { return p.base.Clone() }
 
-// Quantify solves the given knowledge over the cached base system; see
-// Quantifier.Quantify.
-func (p *Prepared) Quantify(knowledge []constraint.DistributionKnowledge, truth *dataset.Conditional) (*Report, error) {
-	return p.QuantifyContext(context.Background(), knowledge, truth)
-}
-
-// QuantifyContext is Quantify with telemetry threaded through ctx.
-func (p *Prepared) QuantifyContext(ctx context.Context, knowledge []constraint.DistributionKnowledge, truth *dataset.Conditional) (*Report, error) {
-	return p.QuantifyWarmContext(ctx, knowledge, truth, nil)
-}
-
-// QuantifyWarmContext is QuantifyContext with a warm-start seed: the
-// duals of a previously solved, similar system (typically the previous
-// grid point of a sweep, available as Report.Solution.Duals). The seed
-// is a pure performance hint — the solve converges to the same posterior
-// from any start — matched by constraint label, so rows added or removed
-// between grid points are handled gracefully (see maxent.Options.WarmStart).
-func (p *Prepared) QuantifyWarmContext(ctx context.Context, knowledge []constraint.DistributionKnowledge, truth *dataset.Conditional, warm []maxent.ConstraintDual) (*Report, error) {
-	return p.QuantifyWithOptions(ctx, QuantifyOptions{
-		Knowledge: knowledge,
-		Truth:     truth,
-		Warm:      warm,
-		Audit:     p.q.cfg.Audit,
-	})
-}
-
 // QuantifyOptions collects the per-request inputs of a prepared
-// quantification. The zero value solves the bare invariant system cold,
-// unaudited.
+// quantification. The zero value solves the bare invariant system cold.
 type QuantifyOptions struct {
-	// Knowledge holds the background-knowledge rows appended to the
-	// invariant base for this solve.
+	// Knowledge holds the background-knowledge statements appended to
+	// the invariant base for this solve.
 	Knowledge []constraint.DistributionKnowledge
 	// Truth, when non-nil, enables accuracy scoring against the true
 	// conditional distribution.
 	Truth *dataset.Conditional
-	// Warm seeds the dual solve; see QuantifyWarmContext.
+	// Warm seeds the dual solve with the duals of a previously solved,
+	// similar system (typically the previous grid point of a sweep,
+	// available as Report.Solution.Duals). The seed is a pure
+	// performance hint — the solve converges to the same posterior from
+	// any start — matched by constraint label, so rows added or removed
+	// between grid points are handled gracefully (see
+	// maxent.Options.WarmStart).
 	Warm []maxent.ConstraintDual
-	// Audit, when non-nil, attaches a SolveAudit to the report —
-	// per-call, independent of the Quantifier's Config.Audit, so a
-	// server can audit individual requests against one shared Prepared.
+	// Audit, when non-nil, attaches a SolveAudit built with these
+	// options to the report; nil falls back to Config.Audit. Per call,
+	// so a server can audit individual requests against one shared
+	// Prepared.
 	Audit *audit.Options
+	// Eps, when positive, makes every knowledge statement vague
+	// (Sec. 4.5): it enters the solve as the two-sided box
+	// (P−ε)·P(Qv) ≤ Σ P(Qv,Q⁻,s,B) ≤ (P+ε)·P(Qv) instead of an equality.
+	// Vague solves take the boxed dual, so Warm and Audit do not apply.
+	Eps float64
 }
 
-// QuantifyWithOptions is the fully general prepared solve: knowledge
-// overlay, optional warm start, and per-call audit selection. The other
-// Quantify* methods on Prepared are thin wrappers over it. On a boxed
-// Prepared (scheme with observation boxes) the solve routes through the
-// inequality dual: knowledge still enters as equality rows over the
-// same overlay, but decomposition, warm starts and audits do not apply
-// (the audit request is ignored, matching QuantifyVague's contract).
+// QuantifyWithOptions solves the given knowledge over the cached base
+// system and scores the posterior. On a boxed Prepared (a scheme with
+// observation boxes), or with vague knowledge, the solve routes through
+// the inequality dual, where decomposition, warm starts and audits do
+// not apply.
 func (p *Prepared) QuantifyWithOptions(ctx context.Context, o QuantifyOptions) (*Report, error) {
-	ctx, span := telemetry.Start(ctx, "core.quantify",
-		telemetry.Int("knowledge", len(o.Knowledge)),
-		telemetry.Bool("warm", len(o.Warm) > 0))
-	defer span.End()
-	var tm Timings
-	fstart := time.Now()
-	sys := p.base.Clone()
-	if err := constraint.AddKnowledge(sys, o.Knowledge...); err != nil {
-		return nil, fmt.Errorf("core: adding knowledge: %w", err)
-	}
-	tm.Add(StageFormulate, time.Since(fstart))
-	if p.Boxed() {
-		return p.quantifyBoxed(ctx, sys, o, &tm)
-	}
-	opts := p.q.cfg.Solve
-	opts.Decompose = !p.q.cfg.NoDecompose
-	opts.WarmStart = o.Warm
-	rep, err := p.q.solveAndScore(ctx, sys, o.Knowledge, o.Truth, opts, o.Audit, &tm)
-	if err != nil {
-		return nil, err
-	}
-	if rep.Audit != nil && p.sch != nil {
-		rep.Audit.Scheme = p.sch.Name()
-	}
-	return rep, nil
-}
-
-// quantifyBoxed is the boxed-dual tail of a prepared solve: the
-// knowledge-augmented equality system plus the scheme's observation
-// boxes, solved with maxent.SolveWithInequalitiesContext. Mirrors
-// QuantifyVagueContext's solve/score/metrics tail.
-func (p *Prepared) quantifyBoxed(ctx context.Context, sys *constraint.System, o QuantifyOptions, tm *Timings) (*Report, error) {
-	solveStart := time.Now()
-	sol, err := maxent.SolveWithInequalitiesContext(ctx, sys, p.ineqs, p.q.cfg.Solve)
-	if err != nil {
-		return nil, fmt.Errorf("core: inequality solve: %w", err)
-	}
-	tm.Add(StageSolve, time.Since(solveStart))
-	rep, err := p.q.score(ctx, sol, o.Knowledge, o.Truth, tm)
-	if err != nil {
-		return nil, err
-	}
-	rep.Timings = *tm
-	if reg := telemetry.Metrics(ctx); reg != nil {
-		reg.Counter("pmaxent_quantify_total").Add(1)
-	}
-	return rep, nil
+	rep, _, err := p.quantify(ctx, o, nil, false)
+	return rep, err
 }
 
 // DeltaState is the opaque baseline a delta quantification reuses: the
@@ -528,127 +330,155 @@ type DeltaState struct {
 // prev == nil (or an unusable/unconverged baseline) degrades to a cold
 // solve. The returned DeltaState seeds the next call; it is nil when
 // this solve did not converge, so a failed solve never becomes a
-// baseline. Decomposition is forced on for the delta path — components
-// are the unit of reuse.
+// baseline, and for boxed solves, which have no components to reuse.
+// Decomposition is forced on for the delta path — components are the
+// unit of reuse.
 func (p *Prepared) QuantifyDelta(ctx context.Context, o QuantifyOptions, prev *DeltaState) (*Report, *DeltaState, error) {
-	if p.Boxed() {
-		// The boxed dual has no decomposition components to reuse, so a
-		// delta request degrades to a plain boxed solve with no
-		// chainable state.
-		rep, err := p.QuantifyWithOptions(ctx, o)
-		return rep, nil, err
-	}
+	return p.quantify(ctx, o, prev, true)
+}
+
+// quantify is the one body behind QuantifyWithOptions and QuantifyDelta:
+// formulate, then solve → score → audit → metrics. delta forces
+// decomposition, diffs against prev when it is non-nil, and returns the
+// next state for a converged equality solve.
+func (p *Prepared) quantify(ctx context.Context, o QuantifyOptions, prev *DeltaState, delta bool) (*Report, *DeltaState, error) {
 	ctx, span := telemetry.Start(ctx, "core.quantify",
 		telemetry.Int("knowledge", len(o.Knowledge)),
-		telemetry.Bool("delta", prev != nil))
+		telemetry.Bool("warm", len(o.Warm) > 0),
+		telemetry.Bool("delta", prev != nil),
+		telemetry.Float("epsilon", o.Eps))
 	defer span.End()
 	var tm Timings
-	fstart := time.Now()
-	sys := p.base.Clone()
-	if err := constraint.AddKnowledge(sys, o.Knowledge...); err != nil {
-		return nil, nil, fmt.Errorf("core: adding knowledge: %w", err)
-	}
-	tm.Add(StageFormulate, time.Since(fstart))
-	opts := p.q.cfg.Solve
-	opts.Decompose = true
-	opts.WarmStart = o.Warm
-	var base *maxent.Baseline
-	if prev != nil {
-		base = &maxent.Baseline{Sys: prev.sys, Sol: prev.sol}
-	}
-	rep, err := p.q.solveAndScoreDelta(ctx, sys, o.Knowledge, o.Truth, opts, o.Audit, base, &tm)
+	boxed := p.Boxed() || o.Eps > 0
+	sys, ineqs, err := p.formulate(ctx, o, &tm)
 	if err != nil {
 		return nil, nil, err
 	}
-	if rep.Audit != nil && p.sch != nil {
-		rep.Audit.Scheme = p.sch.Name()
+	auditOpts := o.Audit
+	if auditOpts == nil {
+		auditOpts = p.q.cfg.Audit
 	}
-	var next *DeltaState
-	if rep.Solution.Stats.Converged {
-		next = &DeltaState{sys: sys, sol: rep.Solution}
-	}
-	return rep, next, nil
-}
-
-// QuantifyWithRules applies the Top-(KPos, KNeg) strongest rules from a
-// pre-mined, sorted rule list over the cached base system; warm may seed
-// the duals as in QuantifyWarmContext.
-func (p *Prepared) QuantifyWithRules(ctx context.Context, rules []assoc.Rule, bound Bound, truth *dataset.Conditional, warm []maxent.ConstraintDual) (*Report, error) {
-	selected := assoc.TopK(rules, bound.KPos, bound.KNeg)
-	knowledge := make([]constraint.DistributionKnowledge, len(selected))
-	for i := range selected {
-		knowledge[i] = selected[i].Knowledge()
-	}
-	rep, err := p.QuantifyWarmContext(ctx, knowledge, truth, warm)
-	if err != nil {
-		return nil, err
-	}
-	rep.Bound = bound
-	return rep, nil
-}
-
-// QuantifyVague is the Sec. 4.5 variant of Quantify: every knowledge
-// statement carries a vagueness ε, entering the solve as the two-sided
-// box (P−ε)·P(Qv) ≤ Σ P(Qv,Q⁻,s,B) ≤ (P+ε)·P(Qv) instead of an equality.
-// eps applies to all statements; pass 0 to recover exact knowledge.
-// Decomposition does not apply to inequality solves.
-func (q *Quantifier) QuantifyVague(d *bucket.Bucketized, knowledge []constraint.DistributionKnowledge, eps float64, truth *dataset.Conditional) (*Report, error) {
-	return q.QuantifyVagueContext(context.Background(), d, knowledge, eps, truth)
-}
-
-// QuantifyVagueContext is QuantifyVague with telemetry and a per-stage
-// timing breakdown in Report.Timings.
-func (q *Quantifier) QuantifyVagueContext(ctx context.Context, d *bucket.Bucketized, knowledge []constraint.DistributionKnowledge, eps float64, truth *dataset.Conditional) (*Report, error) {
-	ctx, span := telemetry.Start(ctx, "core.quantify_vague",
-		telemetry.Int("knowledge", len(knowledge)),
-		telemetry.Float("epsilon", eps))
-	defer span.End()
-	var tm Timings
-	fstart := time.Now()
-	_, fspan := telemetry.Start(ctx, "core.formulate",
-		telemetry.Int("knowledge", len(knowledge)))
-	sp := constraint.NewSpace(d)
-	sys := constraint.DataInvariants(sp, constraint.InvariantOptions{DropRedundant: !q.cfg.KeepRedundant})
-	ineqs := make([]maxent.Inequality, 0, len(knowledge))
-	for i := range knowledge {
-		iq, err := maxent.VagueKnowledge(sp, knowledge[i], eps)
-		if err != nil {
-			fspan.End()
-			return nil, fmt.Errorf("core: vague knowledge %d: %w", i, err)
-		}
-		ineqs = append(ineqs, iq)
-	}
-	fspan.SetAttr(telemetry.Int("variables", sp.Len()))
-	fspan.SetAttr(telemetry.Int("equalities", sys.Len()))
-	fspan.SetAttr(telemetry.Int("inequalities", len(ineqs)))
-	fspan.End()
-	tm.Add(StageFormulate, time.Since(fstart))
 	solveStart := time.Now()
-	sol, err := maxent.SolveWithInequalitiesContext(ctx, sys, ineqs, q.cfg.Solve)
-	if err != nil {
-		return nil, fmt.Errorf("core: inequality solve: %w", err)
+	var sol *maxent.Solution
+	if boxed {
+		auditOpts = nil
+		sol, err = maxent.SolveWithInequalitiesContext(ctx, sys, ineqs, p.q.cfg.Solve)
+		if err != nil {
+			return nil, nil, fmt.Errorf("core: inequality solve: %w", err)
+		}
+	} else {
+		opts := p.q.cfg.Solve
+		opts.Decompose = delta || !p.q.cfg.NoDecompose
+		opts.WarmStart = o.Warm
+		if auditOpts != nil {
+			opts.CaptureTrace = true
+		}
+		if prev != nil {
+			sol, err = maxent.SolveDeltaContext(ctx, sys, &maxent.Baseline{Sys: prev.sys, Sol: prev.sol}, opts)
+		} else {
+			sol, err = maxent.SolveContext(ctx, sys, opts)
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("core: maxent solve: %w", err)
+		}
 	}
 	tm.Add(StageSolve, time.Since(solveStart))
-	rep, err := q.score(ctx, sol, knowledge, truth, &tm)
+	rep, err := score(ctx, sol, o.Knowledge, o.Truth, &tm)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	if auditOpts != nil {
+		auditStart := time.Now()
+		_, aspan := telemetry.Start(ctx, "core.audit")
+		rep.Audit = audit.New(sys, sol, *auditOpts)
+		rep.Audit.RequestID = telemetry.RequestID(ctx)
+		if p.sch != nil {
+			rep.Audit.Scheme = p.sch.Name()
+		}
+		aspan.End()
+		tm.Add(StageAudit, time.Since(auditStart))
 	}
 	rep.Timings = tm
 	if reg := telemetry.Metrics(ctx); reg != nil {
 		reg.Counter("pmaxent_quantify_total").Add(1)
+		reg.Histogram("pmaxent_quantify_duration_seconds", telemetry.DurationBuckets).
+			Observe(tm.Total().Seconds())
 	}
+	var next *DeltaState
+	if delta && !boxed && sol.Stats.Converged {
+		next = &DeltaState{sys: sys, sol: sol}
+	}
+	return rep, next, nil
+}
+
+// formulate clones the base system and adds o's knowledge under a
+// "core.formulate" span, recording the stage timing into tm. Exact
+// knowledge becomes equality rows; with o.Eps > 0 each statement becomes
+// a ±ε box after the scheme's own boxes, which formulate returns
+// alongside the equality system.
+func (p *Prepared) formulate(ctx context.Context, o QuantifyOptions, tm *Timings) (*constraint.System, []maxent.Inequality, error) {
+	_, span := telemetry.Start(ctx, "core.formulate",
+		telemetry.Int("knowledge", len(o.Knowledge)))
+	defer span.End()
+	start := time.Now()
+	sys := p.base.Clone()
+	ineqs := p.ineqs
+	if o.Eps > 0 {
+		ineqs = slices.Clip(ineqs) // append must not write into the shared boxes
+		for i := range o.Knowledge {
+			iq, err := maxent.VagueKnowledge(p.sp, o.Knowledge[i], o.Eps)
+			if err != nil {
+				return nil, nil, fmt.Errorf("core: vague knowledge %d: %w", i, err)
+			}
+			ineqs = append(ineqs, iq)
+		}
+	} else if err := constraint.AddKnowledge(sys, o.Knowledge...); err != nil {
+		return nil, nil, fmt.Errorf("core: adding knowledge: %w", err)
+	}
+	span.SetAttr(
+		telemetry.Int("variables", p.sp.Len()),
+		telemetry.Int("constraints", sys.Len()),
+		telemetry.Int("inequalities", len(ineqs)))
+	tm.Add(StageFormulate, time.Since(start))
+	if reg := telemetry.Metrics(ctx); reg != nil {
+		reg.Histogram("pmaxent_formulate_constraints", telemetry.CountBuckets).
+			Observe(float64(sys.Len() + len(ineqs)))
+	}
+	return sys, ineqs, nil
+}
+
+// score derives the posterior and privacy scores from a solution under a
+// "core.score" span, recording the stage timing into tm.
+func score(ctx context.Context, sol *maxent.Solution, knowledge []constraint.DistributionKnowledge, truth *dataset.Conditional, tm *Timings) (*Report, error) {
+	_, span := telemetry.Start(ctx, "core.score")
+	defer span.End()
+	start := time.Now()
+	post := sol.Posterior()
+	rep := &Report{
+		Knowledge:          knowledge,
+		Posterior:          post,
+		Solution:           sol,
+		MaxDisclosure:      metrics.MaxDisclosure(post),
+		PosteriorEntropy:   metrics.PosteriorEntropy(post),
+		EstimationAccuracy: -1,
+	}
+	if truth != nil {
+		acc, err := metrics.EstimationAccuracy(truth, post)
+		if err != nil {
+			return nil, fmt.Errorf("core: estimation accuracy: %w", err)
+		}
+		rep.EstimationAccuracy = acc
+	}
+	span.SetAttr(telemetry.Float("max_disclosure", rep.MaxDisclosure))
+	tm.Add(StageScore, time.Since(start))
 	return rep, nil
 }
 
-// QuantifyWithRules applies the Top-(KPos, KNeg) strongest rules from the
-// pre-mined, sorted rule list as the knowledge bound and quantifies.
-func (q *Quantifier) QuantifyWithRules(d *bucket.Bucketized, rules []assoc.Rule, bound Bound, truth *dataset.Conditional) (*Report, error) {
-	return q.QuantifyWithRulesContext(context.Background(), d, rules, bound, truth)
-}
-
-// QuantifyWithRulesContext is QuantifyWithRules with telemetry; rule
-// selection is timed as the "select" stage.
-func (q *Quantifier) QuantifyWithRulesContext(ctx context.Context, d *bucket.Bucketized, rules []assoc.Rule, bound Bound, truth *dataset.Conditional) (*Report, error) {
+// QuantifyWithRules applies the Top-(KPos, KNeg) strongest rules from a
+// pre-mined, sorted rule list over the cached base system; warm seeds
+// the duals as QuantifyOptions.Warm does. Rule selection is timed as
+// the "select" stage under a "core.select_rules" span.
+func (p *Prepared) QuantifyWithRules(ctx context.Context, rules []assoc.Rule, bound Bound, truth *dataset.Conditional, warm []maxent.ConstraintDual) (*Report, error) {
 	selStart := time.Now()
 	_, selSpan := telemetry.Start(ctx, "core.select_rules",
 		telemetry.Int("mined", len(rules)),
@@ -662,27 +492,20 @@ func (q *Quantifier) QuantifyWithRulesContext(ctx context.Context, d *bucket.Buc
 	selSpan.SetAttr(telemetry.Int("selected", len(selected)))
 	selSpan.End()
 	selDur := time.Since(selStart)
-	rep, err := q.QuantifyContext(ctx, d, knowledge, truth)
+	rep, err := p.QuantifyWithOptions(ctx, QuantifyOptions{Knowledge: knowledge, Truth: truth, Warm: warm})
 	if err != nil {
 		return nil, err
 	}
 	rep.Bound = bound
-	tm := Timings{{Stage: StageSelect, Duration: selDur}}
-	tm.Merge(rep.Timings)
-	rep.Timings = tm
+	rep.Timings = append(Timings{{Stage: StageSelect, Duration: selDur}}, rep.Timings...)
 	return rep, nil
 }
 
-// Run is the end-to-end convenience: bucketize the original data, mine
-// rules, apply the Top-(KPos, KNeg) bound, and score against the true
-// conditional computed from the original table.
-func (q *Quantifier) Run(t *dataset.Table, bound Bound) (*Report, error) {
-	return q.RunContext(context.Background(), t, bound)
-}
-
-// RunContext is Run with telemetry: a root "core.run" span over the
-// bucketize/mine/truth/select/formulate/solve/score stages, with the full
-// per-stage breakdown in Report.Timings.
+// RunContext is the end-to-end convenience: bucketize the original data,
+// mine rules, compute the true conditional, prepare the published view,
+// apply the Top-(KPos, KNeg) bound and score against the truth. A root
+// "core.run" span covers every stage, and Report.Timings carries the
+// full per-stage breakdown.
 func (q *Quantifier) RunContext(ctx context.Context, t *dataset.Table, bound Bound) (*Report, error) {
 	ctx, span := telemetry.Start(ctx, "core.run",
 		telemetry.Int("records", t.Len()),
@@ -710,7 +533,13 @@ func (q *Quantifier) RunContext(ctx context.Context, t *dataset.Table, bound Bou
 		return nil, fmt.Errorf("core: true conditional: %w", err)
 	}
 	tm.Add(StageTruth, time.Since(start))
-	rep, err := q.QuantifyWithRulesContext(ctx, d, rules, bound, truth)
+	start = time.Now()
+	p, err := q.Prepare(ctx, d)
+	if err != nil {
+		return nil, err
+	}
+	tm.Add(StagePrepare, time.Since(start))
+	rep, err := p.QuantifyWithRules(ctx, rules, bound, truth, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -770,20 +599,28 @@ func (q *Quantifier) QuantifyIndividuals(ctx context.Context, d *bucket.Bucketiz
 // maxK and then binary-searching the bracketing interval. It returns the
 // bound and its report, or (nil report, maxK+1) when even maxK keeps
 // disclosure below tau — the publisher-facing "how much knowledge can
-// this release withstand?" question of Sec. 4.3.
+// this release withstand?" question of Sec. 4.3. d is prepared once for
+// every probe, and the returned report's Timings lead with that build as
+// the prepare stage.
 //
 // Disclosure is not perfectly monotone in K (each extra rule reshapes the
 // whole MaxEnt distribution), so the result is the first grid/bisection
 // point that crosses tau, not a certified minimum.
-func (q *Quantifier) BreakingBound(d *bucket.Bucketized, rules []assoc.Rule, tau float64, maxK int) (int, *Report, error) {
+func (q *Quantifier) BreakingBound(ctx context.Context, d *bucket.Bucketized, rules []assoc.Rule, tau float64, maxK int) (int, *Report, error) {
 	if tau <= 0 || tau > 1 {
 		return 0, nil, fmt.Errorf("core: threshold %g outside (0, 1]", tau)
 	}
 	if maxK < 1 {
 		return 0, nil, fmt.Errorf("core: maxK %d below 1", maxK)
 	}
+	start := time.Now()
+	p, err := q.Prepare(ctx, d)
+	if err != nil {
+		return 0, nil, err
+	}
+	prepDur := time.Since(start)
 	at := func(k int) (*Report, error) {
-		return q.QuantifyWithRules(d, rules, Bound{KPos: k / 2, KNeg: k - k/2}, nil)
+		return p.QuantifyWithRules(ctx, rules, Bound{KPos: k / 2, KNeg: k - k/2}, nil, nil)
 	}
 	// Geometric probe for a bracket [lo, hi] with disclosure(hi) >= tau.
 	lo := 0
@@ -819,5 +656,6 @@ func (q *Quantifier) BreakingBound(d *bucket.Bucketized, rules []assoc.Rule, tau
 			lo = mid
 		}
 	}
+	hiRep.Timings = append(Timings{{Stage: StagePrepare, Duration: prepDur}}, hiRep.Timings...)
 	return hi, hiRep, nil
 }

@@ -12,6 +12,16 @@ import (
 	"privacymaxent/internal/individuals"
 )
 
+// prepare builds q's Prepared for d, failing the test on error.
+func prepare(t *testing.T, q *Quantifier, d *bucket.Bucketized) *Prepared {
+	t.Helper()
+	p, err := q.Prepare(context.Background(), d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func TestConfigDefaults(t *testing.T) {
 	q := New(Config{})
 	cfg := q.Config()
@@ -34,8 +44,8 @@ func TestQuantifyPaperExampleNoKnowledge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := New(Config{})
-	rep, err := q.Quantify(d, nil, truth)
+	p := prepare(t, New(Config{}), d)
+	rep, err := p.QuantifyWithOptions(context.Background(), QuantifyOptions{Truth: truth})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +59,7 @@ func TestQuantifyPaperExampleNoKnowledge(t *testing.T) {
 		t.Fatalf("posterior entropy = %g", rep.PosteriorEntropy)
 	}
 	// Without truth, accuracy is flagged -1.
-	rep2, err := q.Quantify(d, nil, nil)
+	rep2, err := p.QuantifyWithOptions(context.Background(), QuantifyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,15 +83,16 @@ func TestKnowledgeImprovesEstimation(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := New(Config{MinSupport: 1})
-	rules, err := q.MineRules(tbl)
+	rules, err := q.MineRulesContext(context.Background(), tbl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := q.QuantifyWithRules(d, rules, Bound{}, truth)
+	p := prepare(t, q, d)
+	base, err := p.QuantifyWithRules(context.Background(), rules, Bound{}, truth, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	more, err := q.QuantifyWithRules(d, rules, Bound{KPos: 5, KNeg: 5}, truth)
+	more, err := p.QuantifyWithRules(context.Background(), rules, Bound{KPos: 5, KNeg: 5}, truth, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +110,7 @@ func TestKnowledgeImprovesEstimation(t *testing.T) {
 func TestRunEndToEndAdult(t *testing.T) {
 	tbl := adult.Generate(adult.Config{Records: 600, Seed: 21})
 	q := New(Config{RuleSizes: []int{1}})
-	rep, err := q.Run(tbl, Bound{KPos: 10, KNeg: 10})
+	rep, err := q.RunContext(context.Background(), tbl, Bound{KPos: 10, KNeg: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,20 +148,21 @@ func TestDecompositionAblation(t *testing.T) {
 	qDec := New(Config{RuleSizes: []int{1}})
 	qFull := New(Config{RuleSizes: []int{1}, NoDecompose: true})
 
-	d, _, err := qDec.Bucketize(tbl)
+	ctx := context.Background()
+	d, _, err := qDec.BucketizeContext(ctx, tbl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rules, err := qDec.MineRules(tbl)
+	rules, err := qDec.MineRulesContext(ctx, tbl)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bound := Bound{KNeg: 3}
-	repDec, err := qDec.QuantifyWithRules(d, rules, bound, nil)
+	repDec, err := prepare(t, qDec, d).QuantifyWithRules(ctx, rules, bound, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	repFull, err := qFull.QuantifyWithRules(d, rules, bound, nil)
+	repFull, err := prepare(t, qFull, d).QuantifyWithRules(ctx, rules, bound, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,10 +191,12 @@ func TestQuantifyRejectsBadKnowledge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := New(Config{})
+	p := prepare(t, New(Config{}), d)
 	bad := []constraint.DistributionKnowledge{{Attrs: []int{99}, Values: []int{0}, SA: 0, P: 0.5}}
-	if _, err := q.Quantify(d, bad, nil); err == nil {
-		t.Fatal("expected knowledge validation error")
+	for _, eps := range []float64{0, 0.1} {
+		if _, err := p.QuantifyWithOptions(context.Background(), QuantifyOptions{Knowledge: bad, Eps: eps}); err == nil {
+			t.Fatalf("eps %g: expected knowledge validation error", eps)
+		}
 	}
 }
 
@@ -201,7 +215,8 @@ func TestQuantifyVague(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := New(Config{MinSupport: 1})
-	rules, err := q.MineRules(tbl)
+	ctx := context.Background()
+	rules, err := q.MineRulesContext(ctx, tbl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,19 +225,20 @@ func TestQuantifyVague(t *testing.T) {
 		ks = append(ks, r.Knowledge())
 	}
 
-	exact, err := q.Quantify(d, ks, truth)
+	p := prepare(t, q, d)
+	exact, err := p.QuantifyWithOptions(ctx, QuantifyOptions{Knowledge: ks, Truth: truth})
 	if err != nil {
 		t.Fatal(err)
 	}
-	vague, err := q.QuantifyVague(d, ks, 0.2, truth)
+	vague, err := p.QuantifyWithOptions(ctx, QuantifyOptions{Knowledge: ks, Truth: truth, Eps: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	loose, err := q.QuantifyVague(d, ks, 1, truth)
+	loose, err := p.QuantifyWithOptions(ctx, QuantifyOptions{Knowledge: ks, Truth: truth, Eps: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	none, err := q.Quantify(d, nil, truth)
+	none, err := p.QuantifyWithOptions(ctx, QuantifyOptions{Truth: truth})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,12 +300,13 @@ func TestBreakingBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := New(Config{MinSupport: 1})
-	rules, err := q.MineRules(tbl)
+	ctx := context.Background()
+	rules, err := q.MineRulesContext(ctx, tbl)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Some modest threshold is crossed within the rule pool.
-	k, rep, err := q.BreakingBound(d, rules, 0.75, 40)
+	k, rep, err := q.BreakingBound(ctx, d, rules, 0.75, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,10 +316,13 @@ func TestBreakingBound(t *testing.T) {
 	if rep.MaxDisclosure < 0.75 {
 		t.Fatalf("report disclosure %g below threshold", rep.MaxDisclosure)
 	}
+	if rep.Timings.Get(StagePrepare) <= 0 || rep.Timings[0].Stage != StagePrepare {
+		t.Fatalf("report timings %v do not lead with the prepare stage", rep.Timings)
+	}
 	// One rule fewer stays below (first-crossing property on the
 	// bisection lattice).
 	if k > 1 {
-		prev, err := q.QuantifyWithRules(d, rules, Bound{KPos: (k - 1) / 2, KNeg: (k - 1) - (k-1)/2}, nil)
+		prev, err := prepare(t, q, d).QuantifyWithRules(ctx, rules, Bound{KPos: (k - 1) / 2, KNeg: (k - 1) - (k-1)/2}, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -312,7 +332,7 @@ func TestBreakingBound(t *testing.T) {
 	}
 	// Unreachable threshold: with no rules to draw from, disclosure stays
 	// at the no-knowledge baseline regardless of K.
-	k, rep, err = q.BreakingBound(d, nil, 0.999999, 4)
+	k, rep, err = q.BreakingBound(ctx, d, nil, 0.999999, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,10 +340,10 @@ func TestBreakingBound(t *testing.T) {
 		t.Fatalf("unreachable threshold: k=%d rep=%v", k, rep)
 	}
 	// Validation.
-	if _, _, err := q.BreakingBound(d, rules, 0, 10); err == nil {
+	if _, _, err := q.BreakingBound(ctx, d, rules, 0, 10); err == nil {
 		t.Fatal("expected tau validation error")
 	}
-	if _, _, err := q.BreakingBound(d, rules, 0.5, 0); err == nil {
+	if _, _, err := q.BreakingBound(ctx, d, rules, 0.5, 0); err == nil {
 		t.Fatal("expected maxK validation error")
 	}
 }

@@ -19,7 +19,7 @@ import (
 func TestQuantifyDeltaChain(t *testing.T) {
 	tbl := adult.Generate(adult.Config{Records: 400, Seed: 9})
 	q := New(Config{RuleSizes: []int{1}, MinSupport: 1})
-	d, _, err := q.Bucketize(tbl)
+	d, _, err := q.BucketizeContext(context.Background(), tbl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestQuantifyDeltaChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rules, err := q.MineRules(tbl)
+	rules, err := q.MineRulesContext(context.Background(), tbl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestQuantifyDeltaChain(t *testing.T) {
 		t.Fatal("adding one rule reused no components")
 	}
 
-	cold, err := p.QuantifyContext(ctx, k2, truth)
+	cold, err := p.QuantifyWithOptions(ctx, QuantifyOptions{Knowledge: k2, Truth: truth})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestQuantifyDeltaChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold3, err := p.QuantifyContext(ctx, k3, truth)
+	cold3, err := p.QuantifyWithOptions(ctx, QuantifyOptions{Knowledge: k3, Truth: truth})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,6 +63,9 @@ func TestRunContextTelemetry(t *testing.T) {
 	if rep.Timings.Total() <= 0 {
 		t.Fatal("Total() not positive")
 	}
+	if rep.Timings.Get(StagePrepare) <= 0 {
+		t.Errorf("prepare stage missing from Timings %v", rep.Timings)
+	}
 
 	byName := map[string]int{}
 	for _, ev := range sink.Events() {
@@ -80,6 +83,9 @@ func TestRunContextTelemetry(t *testing.T) {
 
 	if reg.Counter("pmaxent_quantify_total").Value() != 1 {
 		t.Fatal("pmaxent_quantify_total != 1")
+	}
+	if n := reg.Histogram("pmaxent_formulate_constraints", telemetry.CountBuckets).Count(); n != 1 {
+		t.Fatalf("pmaxent_formulate_constraints observed %d times, want 1", n)
 	}
 	if reg.Counter("pmaxent_bucketize_total").Value() != 1 {
 		t.Fatal("pmaxent_bucketize_total != 1")
@@ -127,12 +133,12 @@ func TestMineRulesContext(t *testing.T) {
 	}
 }
 
-// TestQuantifyWithoutTelemetry: the plain entry points still populate the
-// timing breakdown with no tracer or registry in scope.
+// TestRunTimingsWithoutTelemetry: RunContext still populates the timing
+// breakdown with no tracer or registry in scope.
 func TestRunTimingsWithoutTelemetry(t *testing.T) {
 	tbl := adult.Generate(adult.Config{Records: 300, Seed: 3})
 	q := New(Config{})
-	rep, err := q.Run(tbl, Bound{KPos: 2, KNeg: 2})
+	rep, err := q.RunContext(context.Background(), tbl, Bound{KPos: 2, KNeg: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -578,8 +578,9 @@ type DecompositionResult struct {
 	IrrelevantBuckets int
 	Duration          time.Duration
 	Accuracy          float64
-	// Timings is the per-stage breakdown of the quantification (select,
-	// formulate, solve, score) — the Figure-7 running-time decomposition.
+	// Timings is the per-stage breakdown of the quantification (prepare,
+	// select, formulate, solve, score) — the Figure-7 running-time
+	// decomposition.
 	Timings core.Timings
 }
 
@@ -595,7 +596,13 @@ func CompareDecomposition(in *Instance, k int) ([]DecompositionResult, error) {
 				Solver: solver.Options{MaxIterations: 6000, GradTol: 1e-8},
 			},
 		})
-		rep, err := q.QuantifyWithRules(in.Data, in.Rules, core.Bound{KPos: k / 2, KNeg: k - k/2}, in.Truth)
+		start := time.Now()
+		p, err := q.Prepare(context.Background(), in.Data)
+		if err != nil {
+			return nil, err
+		}
+		prepDur := time.Since(start)
+		rep, err := p.QuantifyWithRules(context.Background(), in.Rules, core.Bound{KPos: k / 2, KNeg: k - k/2}, in.Truth, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -605,7 +612,7 @@ func CompareDecomposition(in *Instance, k int) ([]DecompositionResult, error) {
 			IrrelevantBuckets: rep.Solution.Stats.IrrelevantBuckets,
 			Duration:          rep.Solution.Stats.Duration,
 			Accuracy:          rep.EstimationAccuracy,
-			Timings:           rep.Timings,
+			Timings:           append(core.Timings{{Stage: core.StagePrepare, Duration: prepDur}}, rep.Timings...),
 		})
 	}
 	return out, nil
@@ -614,7 +621,9 @@ func CompareDecomposition(in *Instance, k int) ([]DecompositionResult, error) {
 // StageBreakdown runs one Top-K quantification per knowledge budget and
 // returns the per-stage running time as series (one per pipeline stage,
 // x = constraint count) — the Figure-7 running-time panel refined by
-// stage, taken from Report.Timings instead of external re-timing.
+// stage, taken from Report.Timings instead of external re-timing. The
+// budgets share the instance's prepared invariant base, so formulate
+// covers only each budget's knowledge rows.
 func StageBreakdown(in *Instance, ks []int) ([]Series, error) {
 	if len(ks) == 0 {
 		ks = []int{10, 30, 100, 300, 1000}
@@ -624,12 +633,15 @@ func StageBreakdown(in *Instance, ks []int) ([]Series, error) {
 	for i, st := range stages {
 		series[i] = Series{Name: st}
 	}
-	q := in.quantifier()
+	p, err := in.prepared()
+	if err != nil {
+		return nil, err
+	}
 	for _, k := range ks {
 		if k > len(in.Rules) {
 			break
 		}
-		rep, err := q.QuantifyWithRules(in.Data, in.Rules, core.Bound{KPos: k / 2, KNeg: k - k/2}, in.Truth)
+		rep, err := p.QuantifyWithRules(context.Background(), in.Rules, core.Bound{KPos: k / 2, KNeg: k - k/2}, in.Truth, nil)
 		if err != nil {
 			return nil, fmt.Errorf("stage breakdown K=%d: %w", k, err)
 		}

@@ -126,7 +126,7 @@ func (in *Instance) frontierPoint(sch scheme.Scheme, param string, kPos, kNeg in
 		return FrontierPoint{}, fmt.Errorf("prepare: %w", err)
 	}
 	// Utility: the knowledge-free posterior scored against the truth.
-	base, err := p.QuantifyContext(ctx, nil, truth)
+	base, err := p.QuantifyWithOptions(ctx, core.QuantifyOptions{Truth: truth})
 	if err != nil {
 		return FrontierPoint{}, fmt.Errorf("utility solve: %w", err)
 	}

@@ -76,11 +76,12 @@ func PrintDecomposition(w io.Writer, results []DecompositionResult) error {
 		return err
 	}
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "decomposed\tactive vars\tirrelevant buckets\tseconds\testimation accuracy\tformulate s\tsolve s\tscore s")
+	fmt.Fprintln(tw, "decomposed\tactive vars\tirrelevant buckets\tseconds\testimation accuracy\tprepare s\tformulate s\tsolve s\tscore s")
 	for _, r := range results {
-		fmt.Fprintf(tw, "%v\t%d\t%d\t%.4f\t%.6g\t%.4f\t%.4f\t%.4f\n",
+		fmt.Fprintf(tw, "%v\t%d\t%d\t%.4f\t%.6g\t%.4f\t%.4f\t%.4f\t%.4f\n",
 			r.Decomposed, r.ActiveVariables, r.IrrelevantBuckets, r.Duration.Seconds(), r.Accuracy,
-			r.Timings.Get(core.StageFormulate).Seconds(), r.Timings.Get(core.StageSolve).Seconds(),
+			r.Timings.Get(core.StagePrepare).Seconds(), r.Timings.Get(core.StageFormulate).Seconds(),
+			r.Timings.Get(core.StageSolve).Seconds(),
 			r.Timings.Get(core.StageScore).Seconds())
 	}
 	return tw.Flush()

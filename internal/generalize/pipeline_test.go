@@ -51,8 +51,9 @@ func TestPublishFeedsMaxEnt(t *testing.T) {
 		t.Fatalf("violation %g", sol.Stats.MaxViolation)
 	}
 	// And through the full Quantifier with mined knowledge.
+	ctx := context.Background()
 	q := core.New(core.Config{MinSupport: 2})
-	rules, err := q.MineRules(tbl)
+	rules, err := q.MineRulesContext(ctx, tbl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,11 @@ func TestPublishFeedsMaxEnt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := q.QuantifyWithRules(d, rules, core.Bound{KPos: 5, KNeg: 5}, truth)
+	p, err := q.Prepare(ctx, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := p.QuantifyWithRules(ctx, rules, core.Bound{KPos: 5, KNeg: 5}, truth, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,20 +84,14 @@ func Perturb(t *dataset.Table, rho float64, seed int64) (*dataset.Table, Mechani
 	return out, mech, nil
 }
 
-// Estimate reconstructs the adversary's MaxEnt posterior P(S | Q) from a
-// perturbed publication. z sets the sampling-tolerance width (the box
-// half-width per observed cell is z·σ̂ + 1/N, with σ̂ the binomial standard
-// error of the observed share); z ≤ 0 defaults to 3. The returned stats
-// describe the box-constrained dual solve. It is a thin wrapper over
-// EstimateContext with a background context.
-func Estimate(published *dataset.Table, mech Mechanism, z float64, opts maxent.Options) (*dataset.Conditional, maxent.Stats, error) {
-	return EstimateContext(context.Background(), published, mech, z, opts)
-}
-
-// EstimateContext is Estimate with the context threaded into the
-// underlying inequality solve: cancellation interrupts the optimizer
-// (solver.ErrInterrupted) and telemetry installed in ctx instruments the
-// solve under a "randomize.estimate" span.
+// EstimateContext reconstructs the adversary's MaxEnt posterior
+// P(S | Q) from a perturbed publication. z sets the sampling-tolerance
+// width (the box half-width per observed cell is z·σ̂ + 1/N, with σ̂ the
+// binomial standard error of the observed share); z ≤ 0 defaults to 3.
+// The returned stats describe the box-constrained dual solve.
+// Cancellation interrupts the optimizer (solver.ErrInterrupted), and
+// telemetry installed in ctx instruments the solve under a
+// "randomize.estimate" span.
 func EstimateContext(ctx context.Context, published *dataset.Table, mech Mechanism, z float64, opts maxent.Options) (*dataset.Conditional, maxent.Stats, error) {
 	ctx, span := telemetry.Start(ctx, "randomize.estimate",
 		telemetry.Int("records", published.Len()))
@@ -246,7 +240,7 @@ func Invariants(sp *constraint.Space, mech Mechanism, z float64) (*constraint.Sy
 
 // ObservedConditional is the naive baseline: read P(S|Q) off the
 // perturbed table as if it were the truth. It is biased toward uniform
-// by the mechanism; Estimate should beat it whenever ρ < 1.
+// by the mechanism; EstimateContext should beat it whenever ρ < 1.
 func ObservedConditional(published *dataset.Table) (*dataset.Conditional, error) {
 	u := dataset.NewUniverse(published)
 	return dataset.TrueConditional(published, u)

@@ -1,6 +1,7 @@
 package randomize
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -119,7 +120,7 @@ func TestEstimateBeatsNaiveBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	est, stats, err := Estimate(pub, mech, 3, maxent.Options{Solver: solver.Options{MaxIterations: 5000}})
+	est, stats, err := EstimateContext(context.Background(), pub, mech, 3, maxent.Options{Solver: solver.Options{MaxIterations: 5000}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestEstimateAtRhoOneRecoversTruth(t *testing.T) {
 	// A tight tolerance (z = 0.5): with exact counts the boxes pin the
 	// reconstruction near the truth. (Wide boxes would let MaxEnt drift
 	// toward uniform inside them — by design.)
-	est, _, err := Estimate(pub, mech, 0.5, maxent.Options{Solver: solver.Options{MaxIterations: 5000}})
+	est, _, err := EstimateContext(context.Background(), pub, mech, 0.5, maxent.Options{Solver: solver.Options{MaxIterations: 5000}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +210,7 @@ func TestEstimateValidation(t *testing.T) {
 	}
 	bad := mech
 	bad.M = 7
-	if _, _, err := Estimate(pub, bad, 3, maxent.Options{}); err == nil {
+	if _, _, err := EstimateContext(context.Background(), pub, bad, 3, maxent.Options{}); err == nil {
 		t.Fatal("expected domain mismatch error")
 	}
 	if _, _, err := Perturb(tbl, -0.1, 1); err == nil {

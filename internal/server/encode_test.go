@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"math"
 	"net/http"
@@ -80,11 +79,7 @@ func paperReport(t testing.TB, audited bool) (*core.Report, *dataset.Schema) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := core.New(cfg).QuantifyContext(context.Background(), d, knowledge, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rep, d.Schema()
+	return offlineReport(t, core.New(cfg), d, knowledge), d.Schema()
 }
 
 // encodedPair returns what the server writes for a response and what

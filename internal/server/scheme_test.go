@@ -15,6 +15,7 @@ import (
 	"privacymaxent/internal/core"
 	"privacymaxent/internal/dataset"
 	"privacymaxent/internal/scheme"
+	"privacymaxent/internal/telemetry"
 )
 
 // quantifyBodyScheme is quantifyBody plus a scheme declaration.
@@ -31,7 +32,7 @@ func quantifyBodyScheme(pub []byte, knowledge, schemeJSON string) string {
 
 // TestQuantifyMondrianSchemeParity: a mondrian-declared request must be
 // byte-identical (volatile fields aside) to the offline
-// PrepareScheme→Quantify pipeline on the same view — the scheme rides
+// PrepareScheme→QuantifyWithOptions pipeline on the same view — the scheme rides
 // the same parity contract the classic path has.
 func TestQuantifyMondrianSchemeParity(t *testing.T) {
 	d, pubJSON := paperPublished(t)
@@ -49,7 +50,7 @@ func TestQuantifyMondrianSchemeParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := p.QuantifyContext(context.Background(), knowledge, nil)
+	rep, err := p.QuantifyWithOptions(context.Background(), core.QuantifyOptions{Knowledge: knowledge})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestQuantifyRandomizedResponseParity(t *testing.T) {
 	if !p.Boxed() {
 		t.Fatal("randomized_response prepared without observation boxes")
 	}
-	rep, err := p.QuantifyContext(context.Background(), nil, nil)
+	rep, err := p.QuantifyWithOptions(context.Background(), core.QuantifyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,4 +330,43 @@ func equalStrings(a, b []string) bool {
 		}
 	}
 	return true
+}
+
+// TestPipelineMetricsEveryPath: an equality, a vague and a boxed
+// (randomized_response) quantify each run the one prepared body, so each
+// counts once in pmaxent_quantify_total and observes the formulate and
+// quantify-duration histograms once.
+func TestPipelineMetricsEveryPath(t *testing.T) {
+	_, pubJSON := paperPublished(t)
+	rr, err := scheme.NewRandomizedResponse(0.8, 7).Publish(dataset.PaperExample())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rrJSON bytes.Buffer
+	if err := bucket.WriteJSON(&rrJSON, rr); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Config{})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	for _, body := range []string{
+		quantifyBody(pubJSON, paperKnowledge),
+		`{"published": ` + string(pubJSON) + `, "knowledge": ` + paperKnowledge + `, "eps": 0.05}`,
+		quantifyBodyScheme(rrJSON.Bytes(), "", `{"name": "randomized_response", "params": {"rho": 0.8, "seed": 7}}`),
+	} {
+		if resp, raw := postQuantify(t, ts, "/v1/quantify", body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("status = %d: %s", resp.StatusCode, raw)
+		}
+	}
+	if got := srv.reg.Counter("pmaxent_quantify_total").Value(); got != 3 {
+		t.Fatalf("pmaxent_quantify_total = %v, want 3", got)
+	}
+	for name, buckets := range map[string][]float64{
+		"pmaxent_formulate_constraints":     telemetry.CountBuckets,
+		"pmaxent_quantify_duration_seconds": telemetry.DurationBuckets,
+	} {
+		if n := srv.reg.Histogram(name, buckets).Count(); n != 3 {
+			t.Errorf("%s observed %d times, want 3", name, n)
+		}
+	}
 }

@@ -1177,18 +1177,12 @@ func (s *Server) runQuantify(pub *bucket.Bucketized, knowledge []constraint.Dist
 		auditOpts = &audit.Options{Top: s.cfg.AuditTop, Tolerance: s.cfg.AuditTolerance}
 	}
 
-	var rep *core.Report
-	cacheState := "bypass"
-	if eps > 0 {
-		// Vague solves build a fresh inequality system; the equality
-		// base is not reusable, so the prepared cache is bypassed.
-		var err error
-		rep, err = s.q.QuantifyVagueContext(ctx, pub, knowledge, eps, nil)
-		if err != nil {
-			return nil, s.solveErr(ctx, err)
-		}
-	} else {
-		entry, hit := s.cache.get(digest)
+	// A vague solve builds a fresh, uncached base: the cached entry's
+	// warm seeds and delta chain belong to its equality solves.
+	entry, cacheState := &cacheEntry{}, "bypass"
+	if eps <= 0 {
+		var hit bool
+		entry, hit = s.cache.get(digest)
 		if hit {
 			cacheState = "hit"
 			s.reg.Counter("pmaxentd_cache_hits_total").Add(1)
@@ -1196,43 +1190,39 @@ func (s *Server) runQuantify(pub *bucket.Bucketized, knowledge []constraint.Dist
 			cacheState = "miss"
 			s.reg.Counter("pmaxentd_cache_misses_total").Add(1)
 		}
-		prepared, prepTime, err := entry.build(ctx, s.q, pub, rs.schemeOf())
-		if err != nil {
+	}
+	prepared, prepTime, err := entry.build(ctx, s.q, pub, rs.schemeOf())
+	if err != nil {
+		if cacheState != "bypass" {
 			s.cache.drop(digest)
-			return nil, s.solveErr(ctx, err)
 		}
-		if prepared.Boxed() {
-			s.reg.Counter("pmaxentd_scheme_boxed_solves_total").Add(1)
-		}
-		qopts := core.QuantifyOptions{
-			Knowledge: knowledge,
-			Warm:      entry.takeWarm(),
-			Audit:     auditOpts,
-		}
-		if delta {
-			var next *core.DeltaState
-			rep, next, err = prepared.QuantifyDelta(ctx, qopts, entry.takeState())
-			if err != nil {
-				return nil, s.solveErr(ctx, err)
-			}
+		return nil, s.solveErr(ctx, err)
+	}
+	if prepared.Boxed() {
+		s.reg.Counter("pmaxentd_scheme_boxed_solves_total").Add(1)
+	}
+	qopts := core.QuantifyOptions{Knowledge: knowledge, Warm: entry.takeWarm(), Audit: auditOpts, Eps: eps}
+	var rep *core.Report
+	if delta {
+		var next *core.DeltaState
+		rep, next, err = prepared.QuantifyDelta(ctx, qopts, entry.takeState())
+		if err == nil {
 			entry.storeState(next)
-		} else {
-			rep, err = prepared.QuantifyWithOptions(ctx, qopts)
-			if err != nil {
-				return nil, s.solveErr(ctx, err)
-			}
 		}
-		if rep.Solution.Stats.Converged {
-			entry.storeWarm(rep.Solution.Duals)
-		}
-		if cacheState == "miss" {
-			// The builder reports the invariant-build cost; cache hits
-			// never carry a "prepare" stage — the observable signal that
-			// the build was skipped.
-			tm := core.Timings{{Stage: core.StagePrepare, Duration: prepTime}}
-			tm.Merge(rep.Timings)
-			rep.Timings = tm
-		}
+	} else {
+		rep, err = prepared.QuantifyWithOptions(ctx, qopts)
+	}
+	if err != nil {
+		return nil, s.solveErr(ctx, err)
+	}
+	if rep.Solution.Stats.Converged {
+		entry.storeWarm(rep.Solution.Duals)
+	}
+	if cacheState != "hit" {
+		// A request that built its base reports the build as its
+		// prepare stage; cache hits never carry one — the observable
+		// signal that the build was skipped.
+		rep.Timings = append(core.Timings{{Stage: core.StagePrepare, Duration: prepTime}}, rep.Timings...)
 	}
 	s.reg.Gauge("pmaxentd_cache_entries").Set(float64(s.cache.len()))
 	meta.cache = cacheState
@@ -1298,6 +1288,10 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.CSV == "" || req.SA == "" {
 		s.writeError(w, r.Context(), fmt.Errorf("%w: \"csv\" and \"sa\" are required", errBadRequest))
+		return
+	}
+	if req.KPos < 0 || req.KNeg < 0 {
+		s.writeError(w, r.Context(), fmt.Errorf("%w: \"k_pos\" and \"k_neg\" must not be negative", errBadRequest))
 		return
 	}
 	roles := map[string]dataset.Role{req.SA: dataset.Sensitive}

@@ -79,6 +79,22 @@ func stripVolatile(t *testing.T, raw []byte) []byte {
 	return out
 }
 
+// offlineReport quantifies knowledge over d with the library alone:
+// prepare the view, then solve — the path every served response must
+// reproduce.
+func offlineReport(t testing.TB, q *core.Quantifier, d *bucket.Bucketized, knowledge []constraint.DistributionKnowledge) *core.Report {
+	t.Helper()
+	p, err := q.Prepare(context.Background(), d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := p.QuantifyWithOptions(context.Background(), core.QuantifyOptions{Knowledge: knowledge})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
 // TestQuantifyParityWithLibrary: the served response must be
 // byte-identical (volatile timing fields aside) to what the offline
 // library computes on the same D′ and knowledge — the server adds
@@ -94,10 +110,7 @@ func TestQuantifyParityWithLibrary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := q.QuantifyContext(context.Background(), d, knowledge, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := offlineReport(t, q, d, knowledge)
 	digest, err := DigestPublished(d)
 	if err != nil {
 		t.Fatal(err)
@@ -131,10 +144,7 @@ func TestQuantifyAuditParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := q.QuantifyContext(context.Background(), d, knowledge, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := offlineReport(t, q, d, knowledge)
 	if rep.Audit == nil {
 		t.Fatal("offline audited run produced no audit")
 	}
@@ -516,6 +526,12 @@ func TestErrorMapping(t *testing.T) {
 		// otherwise mine every subset of that size twice.
 		{"mine size out of range", "/v1/rules/mine", mineBody(`"sizes": [5]`), http.StatusBadRequest, "invalid_request"},
 		{"mine repeated size", "/v1/rules/mine", mineBody(`"sizes": [1, 1]`), http.StatusBadRequest, "invalid_request"},
+		{"mine negative k", "/v1/rules/mine", mineBody(`"k_pos": 5, "k_neg": -10`), http.StatusBadRequest, "invalid_request"},
+		// The identifier column leaves the SA as the only other column:
+		// the client's table has nothing to condition a rule on.
+		{"mine no quasi-identifier", "/v1/rules/mine",
+			`{"csv": "name,disease\na,flu\nb,hiv\n", "sa": "disease", "id": ["name"]}`,
+			http.StatusBadRequest, "invalid_request"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -271,7 +271,7 @@ type MineRequest struct {
 	MinSupport int   `json:"min_support,omitempty"`
 	Sizes      []int `json:"sizes,omitempty"`
 	// KPos/KNeg select the Top-(K+, K−) strongest rules; both zero
-	// returns every mined rule.
+	// returns every mined rule, and a negative count is a 400.
 	KPos int `json:"k_pos,omitempty"`
 	KNeg int `json:"k_neg,omitempty"`
 	// TimeoutMS as in QuantifyRequest.

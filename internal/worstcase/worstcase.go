@@ -26,16 +26,11 @@ import (
 	"privacymaxent/internal/telemetry"
 )
 
-// Disclosure returns the worst-case posterior max_{b,s} n_s/(N_b − k)
-// (clipped to 1) an adversary with k negative statements about a single
-// target's bucket can reach. k must be non-negative. It is a thin
-// wrapper over DisclosureContext with a background context.
-func Disclosure(d *bucket.Bucketized, k int) (float64, error) {
-	return DisclosureContext(context.Background(), d, k)
-}
-
-// DisclosureContext is Disclosure with cancellation (checked between
-// buckets) and a "worstcase.disclosure" telemetry span.
+// DisclosureContext returns the worst-case posterior
+// max_{b,s} n_s/(N_b − k) (clipped to 1) an adversary with k negative
+// statements about a single target's bucket can reach. k must be
+// non-negative. Cancellation is checked between buckets, and a
+// "worstcase.disclosure" telemetry span records the call.
 func DisclosureContext(ctx context.Context, d *bucket.Bucketized, k int) (float64, error) {
 	_, span := telemetry.Start(ctx, "worstcase.disclosure",
 		telemetry.Int("buckets", d.NumBuckets()),
@@ -70,15 +65,15 @@ func DisclosureContext(ctx context.Context, d *bucket.Bucketized, k int) (float6
 	return worst, nil
 }
 
-// Curve evaluates Disclosure for k = 0..kMax, the baseline's analogue of
-// an accuracy-vs-knowledge sweep.
+// Curve evaluates DisclosureContext for k = 0..kMax, the baseline's
+// analogue of an accuracy-vs-knowledge sweep.
 func Curve(d *bucket.Bucketized, kMax int) ([]float64, error) {
 	if kMax < 0 {
 		return nil, fmt.Errorf("worstcase: negative kMax %d", kMax)
 	}
 	out := make([]float64, kMax+1)
 	for k := 0; k <= kMax; k++ {
-		p, err := Disclosure(d, k)
+		p, err := DisclosureContext(context.Background(), d, k)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package worstcase
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -22,7 +23,7 @@ func TestDisclosureNoKnowledge(t *testing.T) {
 	// Bucket 1 has SA multiset {s1, s2, s2, s3}: the best guess without
 	// knowledge is s2 at 2/4 = 0.5, which also dominates buckets 2 and 3
 	// (1/3 each).
-	got, err := Disclosure(d, 0)
+	got, err := DisclosureContext(context.Background(), d, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +36,7 @@ func TestDisclosureGrowsToOne(t *testing.T) {
 	d := paperData(t)
 	prev := 0.0
 	for k := 0; k <= 4; k++ {
-		got, err := Disclosure(d, k)
+		got, err := DisclosureContext(context.Background(), d, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,7 +46,7 @@ func TestDisclosureGrowsToOne(t *testing.T) {
 		prev = got
 	}
 	// Two eliminations break bucket 1's duplicated s2: 2/(4-2) = 1.
-	got, err := Disclosure(d, 2)
+	got, err := DisclosureContext(context.Background(), d, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,10 +62,10 @@ func TestBreakPoint(t *testing.T) {
 	if got := BreakPoint(d); got != 2 {
 		t.Fatalf("BreakPoint = %d, want 2", got)
 	}
-	if p, err := Disclosure(d, BreakPoint(d)); err != nil || p != 1 {
+	if p, err := DisclosureContext(context.Background(), d, BreakPoint(d)); err != nil || p != 1 {
 		t.Fatalf("Disclosure(BreakPoint) = %g, %v; want 1", p, err)
 	}
-	if p, err := Disclosure(d, BreakPoint(d)-1); err != nil || p >= 1 {
+	if p, err := DisclosureContext(context.Background(), d, BreakPoint(d)-1); err != nil || p >= 1 {
 		t.Fatalf("Disclosure(BreakPoint-1) = %g, %v; want < 1", p, err)
 	}
 }
@@ -90,7 +91,7 @@ func TestCurve(t *testing.T) {
 
 func TestValidation(t *testing.T) {
 	d := paperData(t)
-	if _, err := Disclosure(d, -1); err == nil {
+	if _, err := DisclosureContext(context.Background(), d, -1); err == nil {
 		t.Fatal("expected negative-budget error")
 	}
 	if _, err := Curve(d, -1); err == nil {

@@ -16,7 +16,12 @@
 // Quick start:
 //
 //	q := privacymaxent.New(privacymaxent.Config{})
-//	report, err := q.Run(table, privacymaxent.Bound{KPos: 50, KNeg: 50})
+//	report, err := q.RunContext(ctx, table, privacymaxent.Bound{KPos: 50, KNeg: 50})
+//
+// or, for a published view and knowledge statements of your own:
+//
+//	p, err := q.Prepare(ctx, published)
+//	report, err := p.QuantifyWithOptions(ctx, privacymaxent.QuantifyOptions{Knowledge: knowledge})
 //
 // This facade re-exports the library's public surface; the
 // implementation lives under internal/ (dataset, bucket, assoc,
@@ -121,20 +126,22 @@ type (
 	Report = core.Report
 	// StageTimings is the per-stage wall-clock breakdown in Report.Timings.
 	StageTimings = core.Timings
-	// Prepared caches the data-invariant base system of a publication so
-	// sweeps over many knowledge sets pay the formulation once and can
-	// warm-start successive solves. Build one with
-	// Quantifier.Prepare(ctx, d) and quantify per-request knowledge with
-	// Prepared.QuantifyContext (or QuantifyWithRules for a Top-(K+, K−)
-	// Bound); only the knowledge rows are appended per call, onto a
-	// copy-on-append overlay of the shared invariant base. A Prepared is
-	// safe for concurrent use — the pmaxentd server keeps an LRU cache
-	// of them keyed by a digest of the published view.
+	// Prepared caches the data-invariant base system of a publication
+	// and is the only way a knowledge set becomes a Report. Build one
+	// with Quantifier.Prepare(ctx, d) (or PrepareScheme) and quantify
+	// with Prepared.QuantifyWithOptions, QuantifyWithRules (a Top-(K+,
+	// K−) Bound) or QuantifyDelta; each call appends only its knowledge
+	// rows onto a copy-on-append overlay of the shared base. A Prepared
+	// is safe for concurrent use — the pmaxentd server keeps an LRU
+	// cache of them keyed by a digest of the published view.
 	Prepared = core.Prepared
+	// QuantifyOptions holds one prepared quantification's inputs,
+	// including the vagueness Eps (Sec. 4.5).
+	QuantifyOptions = core.QuantifyOptions
 )
 
-// Observability (see internal/telemetry). Context-aware entry points —
-// Quantifier.RunContext, QuantifyContext, maxent.SolveContext — emit spans
+// Observability (see internal/telemetry). The pipeline entry points —
+// Quantifier.RunContext, Prepare, Prepared.QuantifyWithOptions — emit spans
 // to the Tracer and series to the Registry installed with WithTracer and
 // WithMetrics; without them instrumentation is a no-op.
 type (
@@ -165,21 +172,21 @@ func NewTreeSink() *TreeSink { return telemetry.NewTreeSink() }
 // NewRegistry creates an empty metrics registry.
 func NewRegistry() *Registry { return telemetry.NewRegistry() }
 
-// WithTracer installs a tracer into the context handed to the *Context
-// pipeline entry points.
+// WithTracer installs a tracer into the context handed to the pipeline
+// entry points.
 func WithTracer(ctx context.Context, t *Tracer) context.Context {
 	return telemetry.WithTracer(ctx, t)
 }
 
 // WithMetrics installs a metrics registry into the context handed to the
-// *Context pipeline entry points.
+// pipeline entry points.
 func WithMetrics(ctx context.Context, r *Registry) context.Context {
 	return telemetry.WithMetrics(ctx, r)
 }
 
 // New creates a Quantifier; the zero Config reproduces the paper's
 // evaluation setup (5-diversity Anatomy buckets, minimum rule support 3,
-// LBFGS with the Sec. 5.5 decomposition).
+// the Sec. 5.5 decomposition) and solves with the Auto dual algorithm.
 func New(cfg Config) *Quantifier { return core.New(cfg) }
 
 // NewAttribute builds a categorical attribute.
@@ -212,13 +219,9 @@ func Anatomize(t *Table, opts BucketOptions) (*Bucketized, [][]int, error) {
 	return bucket.Anatomize(t, opts)
 }
 
-// MineRules mines association rules from original data, strongest first.
-// It is a thin wrapper over MineRulesContext with a background context.
-func MineRules(t *Table, opts MineOptions) ([]Rule, error) { return assoc.Mine(t, opts) }
-
-// MineRulesContext is MineRules with cancellation and telemetry: mining
-// stops once ctx is done, and a tracer installed with WithTracer records
-// an "assoc.mine" span.
+// MineRulesContext mines association rules from original data,
+// strongest first. Mining stops once ctx is done, and a tracer installed
+// with WithTracer records an "assoc.mine" span.
 func MineRulesContext(ctx context.Context, t *Table, opts MineOptions) ([]Rule, error) {
 	return assoc.MineContext(ctx, t, opts)
 }
@@ -316,34 +319,20 @@ func Randomize(t *Table, rho float64, seed int64) (*Table, RandomizationMechanis
 	return randomize.Perturb(t, rho, seed)
 }
 
-// RandomizedPosterior reconstructs the adversary's MaxEnt posterior from
-// a randomized publication (z is the sampling-tolerance width; 0 = 3σ).
-// It is a thin wrapper over RandomizedPosteriorContext with a background
-// context.
-func RandomizedPosterior(published *Table, mech RandomizationMechanism, z float64, opts SolveOptions) (*Conditional, error) {
-	cond, _, err := randomize.Estimate(published, mech, z, opts)
-	return cond, err
-}
-
-// RandomizedPosteriorContext is RandomizedPosterior with the context
-// threaded into the underlying inequality solve: cancellation interrupts
-// the optimizer (ErrInterrupted) and telemetry installed in ctx
-// instruments the solve under a "randomize.estimate" span.
+// RandomizedPosteriorContext reconstructs the adversary's MaxEnt
+// posterior from a randomized publication (z is the sampling-tolerance
+// width; 0 = 3σ). Cancellation interrupts the underlying inequality
+// solve (ErrInterrupted), and telemetry installed in ctx instruments it
+// under a "randomize.estimate" span.
 func RandomizedPosteriorContext(ctx context.Context, published *Table, mech RandomizationMechanism, z float64, opts SolveOptions) (*Conditional, error) {
 	cond, _, err := randomize.EstimateContext(ctx, published, mech, z, opts)
 	return cond, err
 }
 
-// WorstCaseDisclosure is Martin et al.'s deterministic baseline: the
-// maximum posterior reachable with k negative statements about a target's
-// bucket. It is a thin wrapper over WorstCaseDisclosureContext with a
-// background context.
-func WorstCaseDisclosure(d *Bucketized, k int) (float64, error) {
-	return worstcase.Disclosure(d, k)
-}
-
-// WorstCaseDisclosureContext is WorstCaseDisclosure with cancellation
-// (checked between buckets) and a "worstcase.disclosure" telemetry span.
+// WorstCaseDisclosureContext is Martin et al.'s deterministic baseline:
+// the maximum posterior reachable with k negative statements about a
+// target's bucket. Cancellation is checked between buckets, and a
+// "worstcase.disclosure" telemetry span records the call.
 func WorstCaseDisclosureContext(ctx context.Context, d *Bucketized, k int) (float64, error) {
 	return worstcase.DisclosureContext(ctx, d, k)
 }

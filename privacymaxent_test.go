@@ -2,6 +2,7 @@ package privacymaxent
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 
@@ -33,7 +34,8 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rules, err := MineRules(tbl, MineOptions{MinSupport: 2})
+	ctx := context.Background()
+	rules, err := MineRulesContext(ctx, tbl, MineOptions{MinSupport: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,8 +44,11 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	q := New(Config{Diversity: 3, MinSupport: 2})
-	rep, err := q.QuantifyWithRules(pub, rules, Bound{KPos: 5, KNeg: 5}, truth)
+	p, err := New(Config{Diversity: 3, MinSupport: 2}).Prepare(ctx, pub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := p.QuantifyWithRules(ctx, rules, Bound{KPos: 5, KNeg: 5}, truth, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +70,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 func TestFacadeRunOnPaperExample(t *testing.T) {
 	tbl := dataset.PaperExample()
 	q := New(Config{Diversity: 3, MinSupport: 1})
-	rep, err := q.Run(tbl, Bound{KNeg: 2})
+	rep, err := q.RunContext(context.Background(), tbl, Bound{KNeg: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +84,7 @@ func TestFacadeRunOnPaperExample(t *testing.T) {
 
 func TestTopKFacade(t *testing.T) {
 	tbl := dataset.PaperExample()
-	rules, err := MineRules(tbl, MineOptions{MinSupport: 1})
+	rules, err := MineRulesContext(context.Background(), tbl, MineOptions{MinSupport: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +109,7 @@ func TestFacadeNewSubstrates(t *testing.T) {
 	if tc := TCloseness(pub); tc < 0 || tc > 1 {
 		t.Fatalf("TCloseness = %g", tc)
 	}
-	if p, err := WorstCaseDisclosure(pub, 0); err != nil || p <= 0 || p > 1 {
+	if p, err := WorstCaseDisclosureContext(context.Background(), pub, 0); err != nil || p <= 0 || p > 1 {
 		t.Fatalf("WorstCaseDisclosure = %g, %v", p, err)
 	}
 
@@ -112,7 +117,7 @@ func TestFacadeNewSubstrates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	post, err := RandomizedPosterior(perturbed, mech, 0, SolveOptions{})
+	post, err := RandomizedPosteriorContext(context.Background(), perturbed, mech, 0, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
